@@ -9,12 +9,12 @@ from .evaluation import (JudgmentReport, RankedList, SenseProfile, TestResult,
                          sense_profile, sentiment_frequency, spearman, topk)
 from .lexicons import (ADJECTIVE_SENSES, SENTIMENTS, VERB_SENSES, SenseInventory,
                        SenseKind, Sentiment, SentimentPrior, load_sense_inventory,
-                       load_sentiment_lexicon, sentiment_of)
+                       load_sentiment_lexicon)
 from .model import (FeatureSpace, ModelParams, TrainConfig, TrainResult, cond_neighbor,
                     gradient, grid_train_average, init_params, joint_marginal,
                     mean_posterior_kl, noun_prior, objective, score, sent_given_noun,
                     sentiment_posterior, train)
-from .pmi import (GenderCollapsedTable, collapse_by_gender, pmi, pmi_table, prop1_check,
+from .pmi import (GenderCollapsedTable, collapse_by_gender, pmi_table, prop1_check,
                   restricted_train)
 
 __version__ = "0.1.0"

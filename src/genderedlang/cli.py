@@ -69,8 +69,6 @@ def cmd_ingest(args) -> int:
     reader = iter_arcs if args.format == "arcs" else iter_canonical
     pairs = []
     for path in args.input:
-        if not Path(path).exists():
-            raise DataError(f"input file not found: {path}")
         pairs.extend(reader(path, lex, stats))
 
     report = {"malformed_lines": stats.malformed, "input_lines": stats.lines,
@@ -105,8 +103,6 @@ def cmd_ingest(args) -> int:
 
 
 def _load_table(corpus: str, relation: Relation, lex) -> "CountTable":
-    if not Path(corpus).exists():
-        raise DataError(f"corpus file not found: {corpus}")
     return aggregate_counts(iter_canonical(corpus, lex), relation, lex)
 
 
@@ -159,12 +155,6 @@ def cmd_train(args) -> int:
 # report subcommands
 
 
-def _load_checkpoint(path: str) -> ckpt.Checkpoint:
-    if not Path(path).exists():
-        raise DataError(f"checkpoint not found: {path}")
-    return ckpt.load_checkpoint(path)
-
-
 def _require_positive(args, name: str) -> None:
     if getattr(args, name) <= 0:
         raise UsageError(f"--{name.replace('_', '-')} must be positive")
@@ -172,7 +162,7 @@ def _require_positive(args, name: str) -> None:
 
 def cmd_report_topk(args) -> int:
     _require_positive(args, "k")
-    loaded = _load_checkpoint(args.checkpoint)
+    loaded = ckpt.load_checkpoint(args.checkpoint)
     sentiments = list(SENTIMENTS) if loaded.params.n_sentiments == 3 else [None]
     rows = []
     for gender in (Gender.MASC, Gender.FEM):
@@ -202,7 +192,7 @@ def cmd_report_pmi(args) -> int:
 def cmd_report_senses(args) -> int:
     _require_positive(args, "k")
     _require_positive(args, "permutations")
-    loaded = _load_checkpoint(args.checkpoint)
+    loaded = ckpt.load_checkpoint(args.checkpoint)
     inventory = load_sense_inventory(args.inventory, SenseKind(args.kind))
     rows_out = []
     rows = ev.sense_difference_suite(loaded.params, loaded.space, inventory, k=args.k,
@@ -218,7 +208,7 @@ def cmd_report_senses(args) -> int:
 def cmd_report_sentiment(args) -> int:
     _require_positive(args, "k")
     _require_positive(args, "permutations")
-    loaded = _load_checkpoint(args.checkpoint)
+    loaded = ckpt.load_checkpoint(args.checkpoint)
     prior = load_sentiment_lexicon(args.sentiment_lexicon)
     report = ev.sentiment_frequency(loaded.params, loaded.space, prior, k=args.k,
                                     permutations=args.permutations, seed=args.seed)
@@ -266,7 +256,7 @@ def _read_binary_judgments(path: str) -> dict[str, str]:
 
 def cmd_report_correlate(args) -> int:
     _require_positive(args, "permutations")
-    loaded = _load_checkpoint(args.checkpoint)
+    loaded = ckpt.load_checkpoint(args.checkpoint)
     judgments = _read_judgments(args.judgments)
     binary = _read_binary_judgments(args.binary_judgments) if args.binary_judgments else None
     report = ev.correlate_judgments(loaded.params, loaded.space, judgments, binary,
@@ -370,8 +360,6 @@ def _expand_config(argv: list[str]) -> list[str]:
         else:
             out.append(argv[i])
             i += 1
-    if not Path(config_path).exists():
-        raise DataError(f"config file not found: {config_path}")
     tokens = []
     with open(config_path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -528,7 +516,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
-    except DataError as err:
+    except (DataError, OSError, UnicodeDecodeError) as err:
         print(f"data error: {err}", file=sys.stderr)
         return 2
     except NumericalError as err:

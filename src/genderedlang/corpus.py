@@ -329,9 +329,3 @@ def gender_marginals(table: CountTable, lex: GenderLexicon) -> dict[Gender, int]
         totals[lex.gender_of(form)] += count
     return totals
 
-
-def featurize_noun(form: str, lex: GenderLexicon, space) -> np.ndarray:
-    """Multi-hot lexical features of a noun form known to the lexicon."""
-    if form not in lex:
-        raise DataError(f"unknown noun form {form!r}")
-    return space.featurize(form)

@@ -299,8 +299,7 @@ def spearman(x, y) -> float:
 
 def gender_posterior(params: ModelParams, space: FeatureSpace) -> np.ndarray:
     """p(FEM | v) for every vocabulary word, by summing the joint over forms."""
-    F = space.feature_matrix(params.forms)
-    fw = _forward(params, F)
+    fw = _forward(params, space.feature_matrix(params.forms))
     fem_cols = np.array([space.gender_of(form) is Gender.FEM for form in params.forms])
     fem_mass = fw.M[:, :, fem_cols].sum(axis=(1, 2))
     return fem_mass / fw.rho

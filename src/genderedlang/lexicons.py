@@ -82,6 +82,7 @@ class SentimentPrior:
         return len(self.probs)
 
     def get(self, word: str) -> tuple[float, float, float] | None:
+        """Case-folded lookup; None means the word carries no regularization term."""
         return self.probs.get(word.lower())
 
 
@@ -113,11 +114,6 @@ def load_sentiment_lexicon(path: str | Path) -> SentimentPrior:
                 duplicates += 1
             probs[word] = (alphas[0] / total, alphas[1] / total, alphas[2] / total)
     return SentimentPrior(probs=probs, duplicates=duplicates)
-
-
-def sentiment_of(prior: SentimentPrior, word: str) -> tuple[float, float, float] | None:
-    """Case-folded lookup; None means the word carries no regularization term."""
-    return prior.get(word)
 
 
 @dataclass(frozen=True)

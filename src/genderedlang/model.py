@@ -57,26 +57,21 @@ class FeatureSpace:
     def gender_index(self, gender: Gender) -> int:
         return self.masc_index if gender is Gender.MASC else self.fem_index
 
-    def gender_vector(self, gender: Gender) -> np.ndarray:
-        g = np.zeros(self.dim)
-        g[self.gender_index(gender)] = 1.0
-        return g
-
-    def featurize(self, form: str) -> np.ndarray:
-        """Multi-hot vector with the form's lemma, gender and number bits set."""
-        if form not in self.form_bits:
-            raise DataError(f"unknown noun form {form!r}")
-        f = np.zeros(self.dim)
-        f[list(self.form_bits[form])] = 1.0
-        return f
+    def _bits(self, form: str) -> tuple[int, int, int]:
+        try:
+            return self.form_bits[form]
+        except KeyError:
+            raise DataError(f"unknown noun form {form!r}") from None
 
     def feature_matrix(self, forms: Sequence[str]) -> np.ndarray:
-        return np.stack([self.featurize(form) for form in forms])
+        """(G, T) one-hot matrix: row g sets the lemma, gender and number bits of forms[g]."""
+        idx = np.array([self._bits(form) for form in forms], dtype=np.intp).reshape(len(forms), 3)
+        F = np.zeros((len(forms), self.dim))
+        np.put_along_axis(F, idx, 1.0, axis=1)
+        return F
 
     def gender_of(self, form: str) -> Gender:
-        if form not in self.form_bits:
-            raise DataError(f"unknown noun form {form!r}")
-        return Gender.MASC if self.form_bits[form][1] == self.masc_index else Gender.FEM
+        return Gender.MASC if self._bits(form)[1] == self.masc_index else Gender.FEM
 
 
 @dataclass
@@ -163,22 +158,17 @@ def sentiment_index(params: ModelParams, sentiment: Sentiment | None) -> int:
 # Softmax primitives
 
 
-def _softmax_last(x: np.ndarray) -> np.ndarray:
-    z = x - x.max(axis=-1, keepdims=True)
+def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    z = x - x.max(axis=axis, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _softmax_axis0(x: np.ndarray) -> np.ndarray:
-    z = x - x.max(axis=0, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=0, keepdims=True)
+    return e / e.sum(axis=axis, keepdims=True)
 
 
 @dataclass
 class _Forward:
     """All distributions of one forward pass, in (V, S, G) layout."""
 
+    F: np.ndarray     # (G, T) one-hot features of params.forms
     A: np.ndarray     # p(v | s, n), softmax over axis 0
     B: np.ndarray     # p(s | n), shape (S, G)
     c: np.ndarray     # p(n), shape (G,)
@@ -189,15 +179,15 @@ class _Forward:
 
 
 def _forward(params: ModelParams, F: np.ndarray) -> _Forward:
-    U = params.m[:, None, None] + np.einsum("vst,nt->vsn", params.eta, F)
-    A = _softmax_axis0(U)
-    B = _softmax_last(params.omega).T
-    c = _softmax_last(params.xi)
+    U = params.m[:, None, None] + params.eta @ F.T
+    A = _softmax(U, axis=0)
+    B = _softmax(params.omega, axis=-1).T
+    c = _softmax(params.xi, axis=-1)
     M = A * B[None, :, :] * c[None, None, :]
     J = M.sum(axis=1)
     N = M.sum(axis=2)
     rho = N.sum(axis=1)
-    return _Forward(A=A, B=B, c=c, M=M, J=J, N=N, rho=rho)
+    return _Forward(F=F, A=A, B=B, c=c, M=M, J=J, N=N, rho=rho)
 
 
 def prior_arrays(prior: SentimentPrior | None, vocab: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -217,14 +207,8 @@ def prior_arrays(prior: SentimentPrior | None, vocab: Sequence[str]) -> tuple[np
 # Model distributions (public surface)
 
 
-def init_params(table: CountTable, space: FeatureSpace, seed: int = 0,
-                n_sentiments: int = 3) -> ModelParams:
-    """Independence-baseline initialization: zeros plus empirical log-marginals.
-
-    Deterministic; the seed is accepted for interface stability but the
-    baseline start needs no randomness.
-    """
-    del seed
+def init_params(table: CountTable, space: FeatureSpace, n_sentiments: int = 3) -> ModelParams:
+    """Independence-baseline initialization: zeros plus empirical log-marginals."""
     p_hat = table.p_hat()
     p_v = p_hat.sum(axis=1)
     p_n = p_hat.sum(axis=0)
@@ -238,34 +222,36 @@ def init_params(table: CountTable, space: FeatureSpace, seed: int = 0,
     )
 
 
-def cond_neighbor(params: ModelParams, space: FeatureSpace, f_n: np.ndarray,
+def cond_neighbor(params: ModelParams, space: FeatureSpace, form: str,
                   sentiment: Sentiment | None = None) -> np.ndarray:
-    """p(v | s, n) = softmax over V of m_v + f_n . eta(v, s)."""
+    """p(v | s, n) = softmax over V of m_v + f_n . eta(v, s).
+
+    f_n has exactly three active bits, so the dot product is the sum of the
+    three eta columns the form's lemma, gender and number select.
+    """
     s = sentiment_index(params, sentiment)
-    scores = params.m + params.eta[:, s, :] @ f_n
-    return _softmax_last(scores)
+    scores = params.m + params.eta[:, s, list(space._bits(form))].sum(axis=1)
+    return _softmax(scores, axis=-1)
 
 
 def sent_given_noun(params: ModelParams, form: str) -> np.ndarray:
     """p(s | n) = softmax of the noun form's omega row."""
-    return _softmax_last(params.omega[params.form_index(form)])
+    return _softmax(params.omega[params.form_index(form)], axis=-1)
 
 
 def noun_prior(params: ModelParams) -> np.ndarray:
     """p(n) = softmax(xi)."""
-    return _softmax_last(params.xi)
+    return _softmax(params.xi, axis=-1)
 
 
 def joint_marginal(params: ModelParams, space: FeatureSpace) -> np.ndarray:
     """Sentiment-marginalized joint p(v, n), shape (|V|, |G|); sums to 1."""
-    F = space.feature_matrix(params.forms)
-    return _forward(params, F).J
+    return _forward(params, space.feature_matrix(params.forms)).J
 
 
 def sentiment_posterior(params: ModelParams, space: FeatureSpace, neighbor: str) -> np.ndarray:
     """p(s | v): the model's sentiment posterior for one neighbor."""
-    F = space.feature_matrix(params.forms)
-    fw = _forward(params, F)
+    fw = _forward(params, space.feature_matrix(params.forms))
     v = params.vocab_index(neighbor)
     return fw.N[v] / fw.rho[v]
 
@@ -292,9 +278,8 @@ def _objective_from(fw: _Forward, p_hat: np.ndarray, eta: np.ndarray,
     return value
 
 
-def _gradient_from(fw: _Forward, p_hat: np.ndarray, F: np.ndarray,
-                   q: np.ndarray, mask: np.ndarray, alpha: float, beta: float
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _gradient_from(fw: _Forward, p_hat: np.ndarray, q: np.ndarray, mask: np.ndarray,
+                   alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # dO/dM for the likelihood and (when active) the regularizer; everything
     # else is the softmax chain rule applied once to the shared joint M.
     C = (p_hat / fw.J)[:, None, :]
@@ -303,7 +288,7 @@ def _gradient_from(fw: _Forward, p_hat: np.ndarray, F: np.ndarray,
         C = C + reg[:, :, None]
     E = (C * fw.A).sum(axis=0)                      # (S, G)
     Gu = fw.M * (C - E[None, :, :])
-    g_eta = np.einsum("vsn,nt->vst", Gu, F) - alpha
+    g_eta = Gu @ fw.F - alpha
     BE = (fw.B * E).sum(axis=0)                     # (G,)
     g_omega = (fw.c[None, :] * fw.B * (E - BE[None, :])).T
     K = (C * fw.A * fw.B[None, :, :]).sum(axis=(0, 1))
@@ -325,8 +310,7 @@ def objective(params: ModelParams, space: FeatureSpace, table: CountTable,
     iff the posterior matches the prior.
     """
     _check_regularizer_inputs(prior, config)
-    F = space.feature_matrix(params.forms)
-    fw = _forward(params, F)
+    fw = _forward(params, space.feature_matrix(params.forms))
     q, mask = prior_arrays(prior if config.beta > 0 else None, params.vocab)
     return _objective_from(fw, table.p_hat(), params.eta, q, mask, config.alpha, config.beta)
 
@@ -341,16 +325,14 @@ def gradient(params: ModelParams, space: FeatureSpace, table: CountTable,
     well as the exact derivative in the interior.
     """
     _check_regularizer_inputs(prior, config)
-    F = space.feature_matrix(params.forms)
-    fw = _forward(params, F)
+    fw = _forward(params, space.feature_matrix(params.forms))
     q, mask = prior_arrays(prior if config.beta > 0 else None, params.vocab)
-    return _gradient_from(fw, table.p_hat(), F, q, mask, config.alpha, config.beta)
+    return _gradient_from(fw, table.p_hat(), q, mask, config.alpha, config.beta)
 
 
 def mean_posterior_kl(params: ModelParams, space: FeatureSpace, prior: SentimentPrior) -> float:
     """Mean KL(q || p(s|v)) over vocabulary words covered by the prior."""
-    F = space.feature_matrix(params.forms)
-    fw = _forward(params, F)
+    fw = _forward(params, space.feature_matrix(params.forms))
     q, mask = prior_arrays(prior, params.vocab)
     if not mask.any():
         raise DataError("no vocabulary word is covered by the sentiment prior")
@@ -414,8 +396,7 @@ def train(table: CountTable, space: FeatureSpace, prior: SentimentPrior | None,
     bitwise-identical parameters.
     """
     _check_regularizer_inputs(prior, config)
-    params = init_params(table, space, config.seed, config.n_sentiments)
-    F = space.feature_matrix(params.forms)
+    params = init_params(table, space, config.n_sentiments)
     p_hat = table.p_hat()
     q, mask = prior_arrays(prior if config.beta > 0 else None, params.vocab)
 
@@ -423,7 +404,7 @@ def train(table: CountTable, space: FeatureSpace, prior: SentimentPrior | None,
     adam_omega = _Adam(params.omega.shape, config.adam_beta1, config.adam_beta2, config.adam_epsilon)
     adam_xi = _Adam(params.xi.shape, config.adam_beta1, config.adam_beta2, config.adam_epsilon)
 
-    fw = _forward(params, F)
+    fw = _forward(params, space.feature_matrix(params.forms))
     value = _objective_from(fw, p_hat, params.eta, q, mask, config.alpha, config.beta)
     if not np.isfinite(value):
         raise NumericalError(f"objective not finite at initialization: {value!r}")
@@ -436,12 +417,12 @@ def train(table: CountTable, space: FeatureSpace, prior: SentimentPrior | None,
 
     while accepted < config.max_iterations:
         snapshots = (adam_eta.snapshot(), adam_omega.snapshot(), adam_xi.snapshot())
-        g_eta, g_omega, g_xi = _gradient_from(fw, p_hat, F, q, mask, config.alpha, config.beta)
+        g_eta, g_omega, g_xi = _gradient_from(fw, p_hat, q, mask, config.alpha, config.beta)
         eta_new = np.maximum(adam_eta.step(params.eta, g_eta, lr), 0.0)
         omega_new = adam_omega.step(params.omega, g_omega, lr)
         xi_new = adam_xi.step(params.xi, g_xi, lr)
         candidate = ModelParams(params.vocab, params.forms, params.m, eta_new, omega_new, xi_new)
-        fw_new = _forward(candidate, F)
+        fw_new = _forward(candidate, fw.F)
         value_new = _objective_from(fw_new, p_hat, eta_new, q, mask, config.alpha, config.beta)
         if not np.isfinite(value_new):
             raise NumericalError(f"objective diverged to {value_new!r} after {accepted} iterations")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .corpus import CountTable, Gender, GenderLexicon
 from .errors import DataError, NumericalError
-from .model import TrainConfig, _Adam, _softmax_axis0
+from .model import TrainConfig, _Adam, _softmax
 
 GENDERS = (Gender.MASC, Gender.FEM)
 
@@ -50,20 +50,6 @@ def _require_both_genders(gtable: GenderCollapsedTable) -> np.ndarray:
     if counts.sum(axis=0).min() <= 0:
         raise DataError("both genders required in the collapsed table")
     return counts
-
-
-def pmi(gtable: GenderCollapsedTable, neighbor: str, gender: Gender) -> float:
-    """Natural-log PMI(v, g) from empirical probabilities; requires count > 0."""
-    count = gtable.counts.get((neighbor, gender), 0)
-    if count == 0:
-        raise DataError(f"zero joint count for ({neighbor!r}, {gender.value}); excluded from rankings")
-    counts = gtable.count_matrix()
-    v = gtable.vocab.index(neighbor)
-    total = gtable.total
-    p_joint = count / total
-    p_v = counts[v].sum() / total
-    p_g = counts[:, GENDERS.index(gender)].sum() / total
-    return math.log(p_joint / (p_v * p_g))
 
 
 def pmi_table(gtable: GenderCollapsedTable) -> dict[tuple[str, Gender], float]:
@@ -116,11 +102,11 @@ def restricted_train(gtable: GenderCollapsedTable, config: TrainConfig,
     cap = max(config.max_iterations, 50000)
     for t in range(1, cap + 1):
         iterations = t
-        A = _softmax_axis0(m[:, None] + eta)
+        A = _softmax(m[:, None] + eta, axis=0)
         grad = p_joint - p_g[None, :] * A
         eta = adam.step(eta, grad, lr)
         if t % check_every == 0:
-            dev = float(np.abs(_softmax_axis0(m[:, None] + eta) - p_cond).max())
+            dev = float(np.abs(_softmax(m[:, None] + eta, axis=0) - p_cond).max())
             if not math.isfinite(dev):
                 raise NumericalError("restricted MLE diverged")
             if dev <= saturation_tol:
@@ -128,7 +114,7 @@ def restricted_train(gtable: GenderCollapsedTable, config: TrainConfig,
             if dev > 0.995 * best:
                 lr *= 0.5
             best = min(best, dev)
-    dev = float(np.abs(_softmax_axis0(m[:, None] + eta) - p_cond).max())
+    dev = float(np.abs(_softmax(m[:, None] + eta, axis=0) - p_cond).max())
     if dev <= saturation_tol:
         return RestrictedResult(eta=eta, iterations=iterations, max_deviation=dev, converged=True)
     raise NumericalError(

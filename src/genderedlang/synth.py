@@ -135,7 +135,7 @@ def generate(config: SynthConfig, lex: GenderLexicon) -> SynthData:
         "true_mean_body_fem": float(np.mean([true_body[v] for v in fem_ids])),
         "true_mean_body_masc": float(np.mean([true_body[v] for v in masc_ids])),
         "true_mean_body_filler": float(np.mean([true_body[v] for v in range(config.vocab_size)
-                                                if v not in fem_set | masc_set])),
+                                                if v not in gendered])),
         "true_gender_scores": {w: s for w, s in sorted(judgments.items())},
     }
     return SynthData(config=config, pairs=pairs, sentiment_rows=sentiment_rows,

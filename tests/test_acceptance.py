@@ -117,9 +117,8 @@ def _assert_all_normalized(params, space, tol=1e-10):
     assert abs(joint_marginal(params, space).sum() - 1.0) < tol           # p(v, n)
     for form in params.forms:
         assert abs(sent_given_noun(params, form).sum() - 1.0) < tol       # p(s | n)
-        f = space.featurize(form)
         for s in SENTIMENTS:
-            assert abs(cond_neighbor(params, space, f, s).sum() - 1.0) < tol  # p(v | s, n)
+            assert abs(cond_neighbor(params, space, form, s).sum() - 1.0) < tol  # p(v | s, n)
     for word in params.vocab:
         assert abs(sentiment_posterior(params, space, word).sum() - 1.0) < tol  # p(s | v)
 

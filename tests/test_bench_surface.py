@@ -1,0 +1,96 @@
+"""The benchmark in perfbench/ must keep finding every package name it uses.
+
+With `--trace 1`, perfbench/child.py rebinds each name in its TARGETS table:
+a module attribute, or a method found in its class's own __dict__.  child.py,
+workloads.py and the benchmark's tests also import package names and call
+them.  perfbench/ is kept fixed between benchmark changes, so a rename, a
+deletion or a changed call signature in the package has to fail here.
+"""
+
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SOURCES = ("child.py", "workloads.py", "test_perfbench.py")
+
+
+def _tree(name: str) -> ast.Module:
+    return ast.parse((PERFBENCH / name).read_text(encoding="utf-8"))
+
+
+def _targets() -> list[tuple[str, str, str]]:
+    for node in ast.walk(_tree("child.py")):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets):
+            return [(key.value, value.elts[0].value, value.elts[1].value)
+                    for key, value in zip(node.value.keys, node.value.values)]
+    raise AssertionError("perfbench/child.py has no TARGETS table")
+
+
+def _imports(tree: ast.Module) -> dict[str, tuple[str, str]]:
+    """Local name -> (module, attribute) for each `from genderedlang... import`."""
+    return {alias.asname or alias.name: (node.module, alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module
+            and node.module.split(".")[0] == "genderedlang"
+            for alias in node.names}
+
+
+def _resolve(module: str, name: str):
+    owner = importlib.import_module(module)
+    if hasattr(owner, name):
+        return getattr(owner, name)
+    return importlib.import_module(f"{module}.{name}")
+
+
+def _calls() -> list[tuple[str, str, str, int, tuple[str, ...]]]:
+    """(source, module, name, positional count, keywords) of each direct call to an imported name."""
+    out = []
+    for source in SOURCES:
+        tree = _tree(source)
+        imported = _imports(tree)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in imported
+                    and not any(isinstance(a, ast.Starred) for a in node.args)
+                    and all(k.arg is not None for k in node.keywords)):
+                out.append((source, *imported[node.func.id], len(node.args),
+                            tuple(k.arg for k in node.keywords)))
+    return out
+
+
+TARGETS = _targets()
+IMPORTS = sorted({(source, *pair) for source in SOURCES
+                  for pair in _imports(_tree(source)).values()})
+CALLS = sorted(set(_calls()))
+
+
+def test_sources_name_the_package():
+    assert len(TARGETS) >= 20 and IMPORTS and CALLS
+
+
+@pytest.mark.parametrize("module, attr", [t[1:] for t in TARGETS], ids=[t[0] for t in TARGETS])
+def test_traced_target_resolves(module, attr):
+    owner = importlib.import_module(module)
+    if "." in attr:
+        cls_name, meth = attr.split(".")
+        assert meth in vars(getattr(owner, cls_name)), f"{attr} is not defined on {cls_name} itself"
+    else:
+        assert callable(getattr(owner, attr))
+
+
+@pytest.mark.parametrize("source, module, name", IMPORTS,
+                         ids=[f"{s}:{m}.{n}" for s, m, n in IMPORTS])
+def test_imported_name_resolves(source, module, name):
+    _resolve(module, name)
+
+
+@pytest.mark.parametrize("source, module, name, n_args, keywords", CALLS,
+                         ids=[f"{s}:{n}/{a}{''.join('+' + k for k in kw)}"
+                              for s, _, n, a, kw in CALLS])
+def test_call_signature_binds(source, module, name, n_args, keywords):
+    inspect.signature(_resolve(module, name)).bind(*range(n_args), **dict.fromkeys(keywords))

@@ -74,6 +74,25 @@ class TestIngest:
         assert (out / "amod.tsv").exists()
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory", "non_utf8"])
+@pytest.mark.parametrize("argv", [
+    ["ingest", "--input", "{bad}", "--out", "{out}"],
+    ["train", "--corpus", "{bad}", "--relation", "amod", "--out", "{out}"],
+    ["report", "topk", "--checkpoint", "{bad}", "--out", "{out}"],
+    ["train", "--config", "{bad}", "--corpus", str(DATA / "toy_corpus.tsv"),
+     "--relation", "amod", "--out", "{out}"],
+], ids=["ingest", "train", "topk", "config"])
+def test_unreadable_input_is_a_data_error(tmp_path, capsys, argv, kind):
+    bad = tmp_path / "input"
+    if kind == "directory":
+        bad.mkdir()
+    elif kind == "non_utf8":
+        bad.write_bytes(b"caf\xe9\tjolie\t1\n")
+    args = [a.format(bad=bad, out=tmp_path / "out") for a in argv]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("data error: ")
+
+
 class TestTrain:
     def test_outputs(self, trained):
         assert (trained / "checkpoint_alpha0.001_beta0.5.json").exists()

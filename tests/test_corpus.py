@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genderedlang.corpus import (Gender, IngestStats, Number, Pair, Relation,
-                                 aggregate_counts, featurize_noun, gender_marginals,
+                                 aggregate_counts, gender_marginals,
                                  iter_arcs, iter_canonical, load_gender_lexicon,
                                  merge_tables, parse_arcs_line)
 from genderedlang.errors import DataError, MalformedLineError
@@ -63,38 +63,40 @@ class TestGenderLexicon:
 
 
 class TestFeaturize:
-    def test_stewardesses(self, lexicon, space):
-        f = featurize_noun("stewardesses", lexicon, space)
+    def test_stewardesses(self, space):
+        (f,) = space.feature_matrix(["stewardesses"])
         pl_index = len(space.lemmas) + 3
         assert set(np.nonzero(f)[0]) == {space.lemmas.index("steward"), space.fem_index, pl_index}
         assert f.sum() == 3
 
-    def test_pronoun(self, lexicon, space):
-        f = featurize_noun("he", lexicon, space)
+    def test_pronoun(self, space):
+        (f,) = space.feature_matrix(["he"])
         on = set(np.nonzero(f)[0])
         assert space.lemmas.index("he") in on
         assert space.masc_index in on
         assert len(space.lemmas) + 2 in on  # SG bit
 
-    def test_number_bit_distinguishes_sg_pl(self, lexicon, space):
-        sg = featurize_noun("stewardess", lexicon, space)
-        pl = featurize_noun("stewardesses", lexicon, space)
+    def test_number_bit_distinguishes_sg_pl(self, space):
+        sg, pl = space.feature_matrix(["stewardess", "stewardesses"])
         diff = np.nonzero(sg != pl)[0]
         assert set(diff) == {len(space.lemmas) + 2, len(space.lemmas) + 3}
         # lemma and gender bits agree
         assert sg[space.lemmas.index("steward")] == pl[space.lemmas.index("steward")] == 1
         assert sg[space.fem_index] == pl[space.fem_index] == 1
 
-    def test_unknown_form(self, lexicon, space):
+    def test_unknown_form(self, space):
         with pytest.raises(DataError, match="'table'"):
-            featurize_noun("table", lexicon, space)
+            space.feature_matrix(["he", "table"])
 
     def test_every_form_has_exactly_three_bits(self, lexicon, space):
-        for form in lexicon.forms():
-            assert featurize_noun(form, lexicon, space).sum() == 3
+        F = space.feature_matrix(lexicon.forms())
+        assert F.shape == (len(lexicon), space.dim)
+        assert set(np.unique(F)) == {0.0, 1.0}
+        assert (F.sum(axis=1) == 3).all()
 
     def test_injective_up_to_row_structure(self, lexicon, space):
-        vectors = {form: tuple(featurize_noun(form, lexicon, space)) for form in lexicon.forms()}
+        rows = space.feature_matrix(lexicon.forms())
+        vectors = {form: tuple(row) for form, row in zip(lexicon.forms(), rows)}
         for a in lexicon.forms():
             for b in lexicon.forms():
                 ea, eb = lexicon.entries[a], lexicon.entries[b]

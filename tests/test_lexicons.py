@@ -2,8 +2,7 @@ import pytest
 
 from genderedlang.errors import DataError
 from genderedlang.lexicons import (ADJECTIVE_SENSES, VERB_SENSES, SenseKind,
-                                   load_sense_inventory, load_sentiment_lexicon,
-                                   sentiment_of)
+                                   load_sense_inventory, load_sentiment_lexicon)
 
 
 class TestSentimentLexicon:
@@ -42,11 +41,11 @@ class TestSentimentLexicon:
         assert prior.get("x") == (0.8, 0.1, 0.1)
 
     def test_case_folded_lookup(self, toy_prior):
-        assert sentiment_of(toy_prior, "Pretty") == toy_prior.get("pretty")
-        assert sentiment_of(toy_prior, "pretty") is not None
+        assert toy_prior.get("Pretty") == toy_prior.get("pretty")
+        assert toy_prior.get("pretty") is not None
 
     def test_absent_word(self, toy_prior):
-        assert sentiment_of(toy_prior, "xylophone") is None
+        assert toy_prior.get("xylophone") is None
 
 
 class TestSenseInventory:

@@ -45,13 +45,13 @@ class TestInit:
         p_v = table.p_hat().sum(axis=1)
         for s in SENTIMENTS:
             for form in table.forms:
-                dist = cond_neighbor(params, tiny_space, tiny_space.featurize(form), s)
+                dist = cond_neighbor(params, tiny_space, form, s)
                 assert np.allclose(dist, p_v, atol=1e-12)
 
     def test_deterministic(self, tiny_lexicon, tiny_space):
         table = tiny_table(tiny_lexicon)
-        a = init_params(table, tiny_space, seed=3)
-        b = init_params(table, tiny_space, seed=3)
+        a = init_params(table, tiny_space)
+        b = init_params(table, tiny_space)
         assert np.array_equal(a.m, b.m) and np.array_equal(a.eta, b.eta)
         assert np.array_equal(a.omega, b.omega) and np.array_equal(a.xi, b.xi)
 
@@ -69,7 +69,7 @@ class TestConditionals:
         table = make_table({("hi", "alpha_f"): 7, ("lo", "alpha_f"): 3}, lex=tiny_lexicon)
         params = init_params(table, tiny_space)
         params.eta[params.vocab.index("hi"), 0, tiny_space.fem_index] = 1.0
-        dist = cond_neighbor(params, tiny_space, tiny_space.featurize("alpha_f"), POS)
+        dist = cond_neighbor(params, tiny_space, "alpha_f", POS)
         assert dist[params.vocab.index("hi")] == pytest.approx(0.8638095285778119, abs=1e-12)
         assert dist[params.vocab.index("lo")] == pytest.approx(0.1361904714221882, abs=1e-12)
 
@@ -77,11 +77,10 @@ class TestConditionals:
         table = tiny_table(tiny_lexicon)
         params = init_params(table, tiny_space)
         params.eta = np.random.default_rng(0).uniform(0, 1, params.eta.shape)
-        f = tiny_space.featurize("beta_m")
-        base = cond_neighbor(params, tiny_space, f, NEG)
+        base = cond_neighbor(params, tiny_space, "beta_m", NEG)
         shifted = params.copy()
         shifted.m = shifted.m + 2.5
-        assert np.allclose(cond_neighbor(shifted, tiny_space, f, NEG), base, atol=1e-12)
+        assert np.allclose(cond_neighbor(shifted, tiny_space, "beta_m", NEG), base, atol=1e-12)
 
     def test_sent_given_noun_uniform(self, tiny_lexicon, tiny_space):
         params = init_params(tiny_table(tiny_lexicon), tiny_space)
@@ -122,7 +121,7 @@ class TestConditionals:
 def brute_force_joint(params, space):
     """Loop oracle for the sentiment-marginalized joint (explicit 3-term sum)."""
     V, S, G = len(params.vocab), params.n_sentiments, len(params.forms)
-    F = [space.featurize(f) for f in params.forms]
+    bits = [space.form_bits[f] for f in params.forms]
     out = np.zeros((V, G))
     z_xi = sum(math.exp(x) for x in params.xi)
     for n in range(G):
@@ -130,7 +129,7 @@ def brute_force_joint(params, space):
         z_om = sum(math.exp(o) for o in params.omega[n])
         for s in range(S):
             p_s = math.exp(params.omega[n, s]) / z_om
-            scores = [params.m[v] + float(F[n] @ params.eta[v, s]) for v in range(V)]
+            scores = [params.m[v] + sum(params.eta[v, s, t] for t in bits[n]) for v in range(V)]
             z = sum(math.exp(u) for u in scores)
             for v in range(V):
                 out[v, n] += (math.exp(scores[v]) / z) * p_s * p_n
@@ -163,10 +162,9 @@ class TestSentimentPosterior:
         rng = np.random.default_rng(3)
         params.eta = rng.uniform(0, 1, params.eta.shape)
         params.omega = rng.normal(0, 1, params.omega.shape)
-        f = tiny_space.featurize("alpha_f")
         p_s = sent_given_noun(params, "alpha_f")
         for v, word in enumerate(params.vocab):
-            expected = np.array([cond_neighbor(params, tiny_space, f, s)[v] * p_s[j]
+            expected = np.array([cond_neighbor(params, tiny_space, "alpha_f", s)[v] * p_s[j]
                                  for j, s in enumerate(SENTIMENTS)])
             expected /= expected.sum()
             assert np.allclose(sentiment_posterior(params, tiny_space, word), expected,
@@ -193,8 +191,7 @@ class TestSentimentPosterior:
             num = np.zeros(3)
             for j, s in enumerate(SENTIMENTS):
                 for n, form in enumerate(params.forms):
-                    f = tiny_space.featurize(form)
-                    num[j] += (cond_neighbor(params, tiny_space, f, s)[v]
+                    num[j] += (cond_neighbor(params, tiny_space, form, s)[v]
                                * sent_given_noun(params, form)[j] * noun_prior(params)[n])
             assert np.allclose(sentiment_posterior(params, tiny_space, word),
                                num / num.sum(), atol=1e-12)
@@ -219,8 +216,7 @@ def brute_force_objective(params, space, table, prior, config):
             mass = np.zeros(3)
             for j in range(3):
                 for n, form in enumerate(params.forms):
-                    f = space.featurize(form)
-                    mass[j] += (cond_neighbor(params, space, f, SENTIMENTS[j])[v]
+                    mass[j] += (cond_neighbor(params, space, form, SENTIMENTS[j])[v]
                                 * sent_given_noun(params, form)[j] * noun_prior(params)[n])
             p_sv = mass / mass.sum()
             kl = sum(q[j] * math.log(q[j] / p_sv[j]) for j in range(3) if q[j] > 0)
@@ -389,9 +385,8 @@ class TestTrain:
         assert abs(noun_prior(params).sum() - 1.0) < 1e-10
         for form in params.forms:
             assert abs(sent_given_noun(params, form).sum() - 1.0) < 1e-10
-            f = space.featurize(form)
             for s in SENTIMENTS:
-                assert abs(cond_neighbor(params, space, f, s).sum() - 1.0) < 1e-10
+                assert abs(cond_neighbor(params, space, form, s).sum() - 1.0) < 1e-10
 
 
 class TestGrid:
@@ -487,7 +482,6 @@ class TestNormalizationProperty:
         for form in params.forms:
             assert abs(sent_given_noun(params, form).sum() - 1.0) < 1e-10
             for s in SENTIMENTS:
-                f = tiny_space.featurize(form)
-                assert abs(cond_neighbor(params, tiny_space, f, s).sum() - 1.0) < 1e-10
+                assert abs(cond_neighbor(params, tiny_space, form, s).sum() - 1.0) < 1e-10
         for word in params.vocab:
             assert abs(sentiment_posterior(params, tiny_space, word).sum() - 1.0) < 1e-10
