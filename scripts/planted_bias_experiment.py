@@ -29,8 +29,7 @@ def detect(lex, space, seed, effect, args):
     grid = grid_train_average(table, space, prior, [0.0, 1e-3], [0.1, 1.0],
                               TrainConfig(max_iterations=args.max_iterations))
     rows = sense_difference_suite(grid.params, space, inventory, k=args.k,
-                                  permutations=args.permutations, seed=seed,
-                                  include_pooled=False)
+                                  permutations=args.permutations, seed=seed)
     row = next(r for r in rows if r.sentiment == "pos" and r.sense == "body")
     return row.result.significant, row.result.p_value
 

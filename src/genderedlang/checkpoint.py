@@ -8,16 +8,22 @@ state survives save/load bitwise; the byte stream itself is deterministic
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import Gender, Number
 from .errors import DataError
-from .model import FeatureSpace, ModelParams, TrainConfig
+from .model import (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, WINDOW, FeatureSpace, ModelParams,
+                    TrainConfig)
 
 FORMAT = "genderedlang-checkpoint-v1"
+
+# Optimizer constants that v1 checkpoints record in "config" beside TrainConfig's fields.
+_FIXED = {"adam_beta1": ADAM_BETA1, "adam_beta2": ADAM_BETA2,
+          "adam_epsilon": ADAM_EPSILON, "window": WINDOW}
+_CONFIG_KEYS = {f.name for f in fields(TrainConfig)}
 
 
 @dataclass
@@ -70,19 +76,7 @@ def save_checkpoint(path: str | Path, params: ModelParams, space: FeatureSpace,
         "format": FORMAT,
         "relation": relation,
         "fingerprint": fingerprint,
-        "config": {
-            "alpha": config.alpha,
-            "beta": config.beta,
-            "learning_rate": config.learning_rate,
-            "adam_beta1": config.adam_beta1,
-            "adam_beta2": config.adam_beta2,
-            "adam_epsilon": config.adam_epsilon,
-            "max_iterations": config.max_iterations,
-            "tolerance": config.tolerance,
-            "window": config.window,
-            "seed": config.seed,
-            "n_sentiments": config.n_sentiments,
-        },
+        "config": {**asdict(config), **_FIXED},
         "space": _space_payload(space),
         "vocab": list(params.vocab),
         "forms": list(params.forms),
@@ -98,29 +92,46 @@ def save_checkpoint(path: str | Path, params: ModelParams, space: FeatureSpace,
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
+    """Read a checkpoint; any malformed or inconsistent document is a DataError."""
+    text = Path(path).read_text(encoding="utf-8")
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        return _from_doc(json.loads(text))
     except json.JSONDecodeError as err:
         raise DataError(f"{path}: not a valid checkpoint: {err}") from None
+    except DataError as err:
+        raise DataError(f"{path}: {err}") from None
+    except KeyError as err:
+        raise DataError(f"{path}: malformed checkpoint: missing key {err}") from None
+    except (AttributeError, IndexError, TypeError, ValueError) as err:
+        raise DataError(f"{path}: malformed checkpoint: {err}") from None
+
+
+def _from_doc(doc: dict) -> Checkpoint:
     if doc.get("format") != FORMAT:
-        raise DataError(f"{path}: unrecognized checkpoint format {doc.get('format')!r}")
-    eta = np.zeros(tuple(doc["eta_shape"]))
+        raise DataError(f"unrecognized checkpoint format {doc.get('format')!r}")
+    unknown = set(doc["config"]) - _CONFIG_KEYS - set(_FIXED)
+    if unknown:
+        raise DataError(f"unknown config key(s) {', '.join(sorted(unknown))}")
+    config = TrainConfig(**{key: doc["config"][key] for key in _CONFIG_KEYS})
+    space = _space_from_payload(doc["space"])
+    vocab, forms = tuple(doc["vocab"]), tuple(doc["forms"])
+    shape = tuple(doc["eta_shape"])
+    m = np.array(doc["m"], dtype=float)
+    omega = np.array(doc["omega"], dtype=float)
+    xi = np.array(doc["xi"], dtype=float)
+    if (len(shape) != 3 or shape[0] != len(vocab) or shape[1] not in (1, 3)
+            or shape[2] != space.dim or m.shape != (len(vocab),)
+            or omega.shape != (len(forms), shape[1]) or xi.shape != (len(forms),)):
+        raise DataError(f"eta_shape {list(shape)} disagrees with the vocab, forms, m, omega, "
+                        f"xi or feature space (dimension {space.dim})")
+    eta = np.zeros(shape)
     for v, s, t, value in doc["eta"]:
+        if not (0 <= v < shape[0] and 0 <= s < shape[1] and 0 <= t < shape[2]):
+            raise DataError(f"eta index {[v, s, t]} outside eta_shape {list(shape)}")
         eta[v, s, t] = value
-    params = ModelParams(
-        vocab=tuple(doc["vocab"]),
-        forms=tuple(doc["forms"]),
-        m=np.array(doc["m"], dtype=float),
-        eta=eta,
-        omega=np.array(doc["omega"], dtype=float),
-        xi=np.array(doc["xi"], dtype=float),
-    )
-    if params.omega.ndim == 1:
-        params.omega = params.omega.reshape(len(params.forms), -1)
-    config = TrainConfig(**doc["config"])
     return Checkpoint(
-        params=params,
-        space=_space_from_payload(doc["space"]),
+        params=ModelParams(vocab=vocab, forms=forms, m=m, eta=eta, omega=omega, xi=xi),
+        space=space,
         config=config,
         fingerprint=doc["fingerprint"],
         relation=doc["relation"],

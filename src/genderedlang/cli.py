@@ -40,9 +40,14 @@ def _parse_grid(token: str) -> list[float]:
         raise UsageError(f"bad grid {token!r}: expected comma-separated floats") from None
     if not values:
         raise UsageError("grids must be non-empty")
-    if any(v < 0 for v in values):
+    if not all(v >= 0 for v in values):  # NaN fails too
         raise UsageError("grid values must be non-negative")
     return values
+
+
+def _require_positive(args, name: str) -> None:
+    if not getattr(args, name) > 0:  # NaN fails too
+        raise UsageError(f"--{name.replace('_', '-')} must be positive")
 
 
 def _load_lexicon(args) -> "GenderLexicon":
@@ -107,20 +112,18 @@ def _load_table(corpus: str, relation: Relation, lex) -> "CountTable":
 
 
 def cmd_train(args) -> int:
+    for name in ("learning_rate", "tolerance", "max_iterations", "jobs"):
+        _require_positive(args, name)
     lex = _load_lexicon(args)
     relation = Relation(args.relation)
     table = _load_table(args.corpus, relation, lex)
     space = FeatureSpace.from_lexicon(lex)
 
     alphas = _parse_grid(args.alpha_grid)
-    if args.no_sentiment:
-        betas = _parse_grid(args.beta_grid) if args.beta_grid else [0.0]
-        if any(b > 0 for b in betas):
-            raise UsageError("--no-sentiment is incompatible with a non-zero beta grid")
-        n_sentiments = 1
-    else:
-        betas = _parse_grid(args.beta_grid) if args.beta_grid else [0.0]
-        n_sentiments = 3
+    betas = _parse_grid(args.beta_grid) if args.beta_grid else [0.0]
+    if args.no_sentiment and any(b > 0 for b in betas):
+        raise UsageError("--no-sentiment is incompatible with a non-zero beta grid")
+    n_sentiments = 1 if args.no_sentiment else 3
 
     prior = None
     if args.sentiment_lexicon:
@@ -153,11 +156,6 @@ def cmd_train(args) -> int:
 
 # ---------------------------------------------------------------------------
 # report subcommands
-
-
-def _require_positive(args, name: str) -> None:
-    if getattr(args, name) <= 0:
-        raise UsageError(f"--{name.replace('_', '-')} must be positive")
 
 
 def cmd_report_topk(args) -> int:
@@ -304,11 +302,12 @@ def cmd_report_permtest(args) -> int:
 
 
 def cmd_report_prop1(args) -> int:
+    for name in ("learning_rate", "max_iterations", "saturation_tol"):
+        _require_positive(args, name)
     lex = _load_lexicon(args)
     table = _load_table(args.corpus, Relation(args.relation), lex)
     gtable = collapse_by_gender(table, lex)
-    config = TrainConfig(learning_rate=args.learning_rate, max_iterations=args.max_iterations)
-    report = prop1_check(gtable, config, saturation_tol=args.saturation_tol)
+    report = prop1_check(gtable, args.learning_rate, args.max_iterations, args.saturation_tol)
     rows = [[g.value, report.max_deviation[g], report.rank_correlation[g],
              report.restricted.iterations]
             for g in (Gender.MASC, Gender.FEM)]

@@ -128,12 +128,6 @@ class IngestStats:
     unknown_forms: int = 0
     pairs: int = 0
 
-    def merge(self, other: "IngestStats") -> None:
-        self.lines += other.lines
-        self.malformed += other.malformed
-        self.unknown_forms += other.unknown_forms
-        self.pairs += other.pairs
-
 
 _ACCEPTED_LABELS = {r.value: r for r in Relation}
 
@@ -190,55 +184,50 @@ def parse_arcs_line(line: str, lex: GenderLexicon) -> list[Pair]:
 
 def iter_arcs(path: str | Path, lex: GenderLexicon, stats: IngestStats | None = None) -> Iterator[Pair]:
     """Stream pairs from an arcs file, skipping malformed lines."""
+    if stats is None:
+        stats = IngestStats()
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             if not line.strip():
                 continue
-            if stats is not None:
-                stats.lines += 1
+            stats.lines += 1
             try:
                 pairs = parse_arcs_line(line, lex)
             except MalformedLineError:
-                if stats is not None:
-                    stats.malformed += 1
+                stats.malformed += 1
                 continue
-            if stats is not None:
-                stats.pairs += len(pairs)
+            stats.pairs += len(pairs)
             yield from pairs
 
 
 def iter_canonical(path: str | Path, lex: GenderLexicon, stats: IngestStats | None = None) -> Iterator[Pair]:
     """Stream pairs from canonical ``relation form neighbor count`` TSV."""
+    if stats is None:
+        stats = IngestStats()
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             if not line.strip():
                 continue
-            if stats is not None:
-                stats.lines += 1
+            stats.lines += 1
             fields = line.rstrip("\n").split("\t")
             if len(fields) != 4:
-                if stats is not None:
-                    stats.malformed += 1
+                stats.malformed += 1
                 continue
             rel_token, form, neighbor, count_token = fields
             try:
                 relation = Relation(rel_token.strip().lower())
                 count = int(count_token)
             except ValueError:
-                if stats is not None:
-                    stats.malformed += 1
+                stats.malformed += 1
                 continue
             if count < 0:
-                if stats is not None:
-                    stats.malformed += 1
+                stats.malformed += 1
                 continue
             form = form.strip().lower()
             if form not in lex:
-                if stats is not None:
-                    stats.unknown_forms += 1
+                stats.unknown_forms += 1
                 continue
-            if stats is not None:
-                stats.pairs += 1
+            stats.pairs += 1
             yield Pair(form, neighbor.strip().lower(), relation, count)
 
 

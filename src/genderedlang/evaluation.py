@@ -87,11 +87,11 @@ class TestResult:
     mean_b: float
 
 
-def _combination_chunks(n: int, k: int, chunk: int = 131072):
+def _combination_chunks(n: int, k: int):
     buf: list[tuple[int, ...]] = []
     for combo in itertools.combinations(range(n), k):
         buf.append(combo)
-        if len(buf) == chunk:
+        if len(buf) == 131072:
             yield np.asarray(buf, dtype=np.intp)
             buf = []
     if buf:
@@ -99,11 +99,11 @@ def _combination_chunks(n: int, k: int, chunk: int = 131072):
 
 
 def permutation_test(group_a, group_b, permutations: int = 100_000, seed: int = 0,
-                     alpha: float = 0.05, exact_limit: int = 1_000_000) -> TestResult:
+                     alpha: float = 0.05) -> TestResult:
     """Unpaired permutation test of |mean(A) - mean(B)|.
 
     All C(|A|+|B|, |A|) relabelings are enumerated when that count is at
-    most `exact_limit`; otherwise Monte Carlo resampling is used with the
+    most one million; otherwise Monte Carlo resampling is used with the
     add-one estimator p = (b + 1) / (m + 1), which can never return zero.
     Deterministic given the seed.
     """
@@ -120,7 +120,7 @@ def permutation_test(group_a, group_b, permutations: int = 100_000, seed: int = 
     threshold = observed - 1e-12 * max(1.0, observed)
 
     total = math.comb(n, n_a)
-    if total <= exact_limit:
+    if total <= 1_000_000:
         hits = 0
         for idx in _combination_chunks(n, n_a):
             sums = pooled[idx].sum(axis=1)
@@ -169,14 +169,13 @@ def _sense_groups(params: ModelParams, space: FeatureSpace, inventory: SenseInve
     seen: set[str] = set()
     for sentiment in sentiments:
         ranked = topk(params, space, gender, sentiment, k)
-        sense_profile(ranked, inventory)  # raises on zero coverage
+        if not any(word in inventory for word, _score in ranked.entries):
+            raise DataError("no entries in inventory")
         for word, _score in ranked.entries:
             if word not in seen:
                 seen.add(word)
                 words.append(word)
     covered = [w for w in words if w in inventory]
-    if not covered:
-        raise DataError("no entries in inventory")
     return {
         sense: [inventory.get(w).get(sense, 0.0) for w in covered]
         for sense in inventory.kind.senses
@@ -186,8 +185,7 @@ def _sense_groups(params: ModelParams, space: FeatureSpace, inventory: SenseInve
 def sense_difference_suite(params: ModelParams, space: FeatureSpace,
                            inventory: SenseInventory, k: int = 200,
                            permutations: int = 100_000, seed: int = 0,
-                           alpha: float = 0.05, include_pooled: bool = True
-                           ) -> list[SenseTestRow]:
+                           alpha: float = 0.05) -> list[SenseTestRow]:
     """Male-vs-female permutation tests of mean sense weight, per sentiment.
 
     Each sentiment's tests are Bonferroni-corrected across the sense set;
@@ -196,8 +194,7 @@ def sense_difference_suite(params: ModelParams, space: FeatureSpace,
     """
     if params.n_sentiments == 3:
         groupings: list[tuple[str, tuple]] = [(s.value, (s,)) for s in SENTIMENTS]
-        if include_pooled:
-            groupings.append(("all", tuple(SENTIMENTS)))
+        groupings.append(("all", tuple(SENTIMENTS)))
     else:
         groupings = [("none", (None,))]
     corrected = alpha / len(inventory.kind.senses)

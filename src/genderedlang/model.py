@@ -124,12 +124,8 @@ class TrainConfig:
     alpha: float = 0.0
     beta: float = 0.0
     learning_rate: float = 0.1
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     max_iterations: int = 20000
     tolerance: float = 1e-7
-    window: int = 50
     seed: int = 0
     n_sentiments: int = 3
 
@@ -353,6 +349,14 @@ class TrainResult:
     config: TrainConfig
 
 
+# Adam's published defaults (Kingma & Ba, 2015) and the number of accepted
+# steps the convergence test looks back over.  Checkpoints record all four.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+WINDOW = 50
+
+
 class _Adam:
     """Adam ascent state for one parameter array.
 
@@ -360,21 +364,18 @@ class _Adam:
     of the state tuple is enough to roll a rejected step back.
     """
 
-    def __init__(self, shape: tuple[int, ...], beta1: float, beta2: float, epsilon: float):
+    def __init__(self, shape: tuple[int, ...]):
         self.mom = np.zeros(shape)
         self.vel = np.zeros(shape)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.t = 0
 
     def step(self, x: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
         self.t += 1
-        self.mom = self.beta1 * self.mom + (1.0 - self.beta1) * grad
-        self.vel = self.beta2 * self.vel + (1.0 - self.beta2) * grad * grad
-        mhat = self.mom / (1.0 - self.beta1 ** self.t)
-        vhat = self.vel / (1.0 - self.beta2 ** self.t)
-        return x + lr * mhat / (np.sqrt(vhat) + self.epsilon)
+        self.mom = ADAM_BETA1 * self.mom + (1.0 - ADAM_BETA1) * grad
+        self.vel = ADAM_BETA2 * self.vel + (1.0 - ADAM_BETA2) * grad * grad
+        mhat = self.mom / (1.0 - ADAM_BETA1 ** self.t)
+        vhat = self.vel / (1.0 - ADAM_BETA2 ** self.t)
+        return x + lr * mhat / (np.sqrt(vhat) + ADAM_EPSILON)
 
     def snapshot(self) -> tuple:
         return (self.mom, self.vel, self.t)
@@ -392,17 +393,17 @@ def train(table: CountTable, space: FeatureSpace, prior: SentimentPrior | None,
     objective values has a monotone tail; the rate is also halved when a
     full window passes without relative progress.  The run stops once the
     windowed relative change falls below the tolerance, the rate anneals
-    away, or the iteration cap is reached.  Identical inputs give
-    bitwise-identical parameters.
+    away, or the iteration cap is reached; only the first of these sets
+    `converged`.  Identical inputs give bitwise-identical parameters.
     """
     _check_regularizer_inputs(prior, config)
     params = init_params(table, space, config.n_sentiments)
     p_hat = table.p_hat()
     q, mask = prior_arrays(prior if config.beta > 0 else None, params.vocab)
 
-    adam_eta = _Adam(params.eta.shape, config.adam_beta1, config.adam_beta2, config.adam_epsilon)
-    adam_omega = _Adam(params.omega.shape, config.adam_beta1, config.adam_beta2, config.adam_epsilon)
-    adam_xi = _Adam(params.xi.shape, config.adam_beta1, config.adam_beta2, config.adam_epsilon)
+    adam_eta = _Adam(params.eta.shape)
+    adam_omega = _Adam(params.omega.shape)
+    adam_xi = _Adam(params.xi.shape)
 
     fw = _forward(params, space.feature_matrix(params.forms))
     value = _objective_from(fw, p_hat, params.eta, q, mask, config.alpha, config.beta)
@@ -434,25 +435,23 @@ def train(table: CountTable, space: FeatureSpace, prior: SentimentPrior | None,
             adam_xi.restore(snapshots[2])
             lr *= 0.5
             if lr < 1e-12:
-                converged = True
                 break
             continue
 
         params, fw, value = candidate, fw_new, value_new
         accepted += 1
         trace.append(value)
-        if accepted > config.window:
-            prev = trace[accepted - config.window]
+        if accepted > WINDOW:
+            prev = trace[accepted - WINDOW]
             delta = value - prev
             scale = 1.0 + abs(prev)
             if abs(delta) < config.tolerance * scale:
                 converged = True
                 break
-            if delta < plateau_rel * scale and accepted - last_halve >= config.window:
+            if delta < plateau_rel * scale and accepted - last_halve >= WINDOW:
                 lr *= 0.5
                 last_halve = accepted
                 if lr < 1e-12:
-                    converged = True
                     break
 
     return TrainResult(params=params, trace=trace, iterations=accepted,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .corpus import CountTable, Gender, GenderLexicon
 from .errors import DataError, NumericalError
-from .model import TrainConfig, _Adam, _softmax
+from .model import _Adam, _softmax
 
 GENDERS = (Gender.MASC, Gender.FEM)
 
@@ -76,17 +76,16 @@ class RestrictedResult:
     converged: bool
 
 
-def restricted_train(gtable: GenderCollapsedTable, config: TrainConfig,
-                     saturation_tol: float = 1e-8) -> RestrictedResult:
+def restricted_train(gtable: GenderCollapsedTable, learning_rate: float = 0.2,
+                     max_iterations: int = 50000, saturation_tol: float = 1e-8
+                     ) -> RestrictedResult:
     """Fit the sentiment-free, gender-only model to saturation by Adam.
 
     The MLE must be unconstrained (no non-negativity projection, no
     regularizers) for the saturated fit to reach the empirical conditional
     exactly; convergence is declared when max |p(v|g) - p_hat(v|g)| falls
-    below `saturation_tol`.
+    below `saturation_tol` within `max_iterations` Adam steps.
     """
-    if config.alpha != 0 or config.beta != 0:
-        raise DataError("restricted MLE requires alpha = beta = 0")
     counts = _require_both_genders(gtable)
     p_cond = counts / counts.sum(axis=0, keepdims=True)   # p_hat(v | g)
     p_joint = counts / counts.sum()                        # p_hat(v, g)
@@ -94,13 +93,12 @@ def restricted_train(gtable: GenderCollapsedTable, config: TrainConfig,
     m = np.log(counts.sum(axis=1) / counts.sum())
 
     eta = np.zeros_like(p_cond)
-    adam = _Adam(eta.shape, config.adam_beta1, config.adam_beta2, config.adam_epsilon)
-    lr = config.learning_rate
+    adam = _Adam(eta.shape)
+    lr = learning_rate
     check_every = 50
     best = np.inf
     iterations = 0
-    cap = max(config.max_iterations, 50000)
-    for t in range(1, cap + 1):
+    for t in range(1, max_iterations + 1):
         iterations = t
         A = _softmax(m[:, None] + eta, axis=0)
         grad = p_joint - p_g[None, :] * A
@@ -118,8 +116,8 @@ def restricted_train(gtable: GenderCollapsedTable, config: TrainConfig,
     if dev <= saturation_tol:
         return RestrictedResult(eta=eta, iterations=iterations, max_deviation=dev, converged=True)
     raise NumericalError(
-        f"restricted MLE did not reach saturation tol {saturation_tol:g} in {cap} iterations "
-        f"(max deviation {dev:.3g})")
+        f"restricted MLE did not reach saturation tol {saturation_tol:g} "
+        f"in {max_iterations} iterations (max deviation {dev:.3g})")
 
 
 @dataclass
@@ -142,10 +140,10 @@ def _rank_correlation(x: np.ndarray, y: np.ndarray) -> float:
     return spearman(x, y)
 
 
-def prop1_check(gtable: GenderCollapsedTable, config: TrainConfig,
-                saturation_tol: float = 1e-8) -> Prop1Report:
+def prop1_check(gtable: GenderCollapsedTable, learning_rate: float = 0.2,
+                max_iterations: int = 50000, saturation_tol: float = 1e-8) -> Prop1Report:
     """Compare the restricted model's normalized scores to normalized exp(PMI)."""
-    result = restricted_train(gtable, config, saturation_tol=saturation_tol)
+    result = restricted_train(gtable, learning_rate, max_iterations, saturation_tol)
     counts = gtable.count_matrix()
     total = counts.sum()
     p_v = counts.sum(axis=1) / total

@@ -28,12 +28,6 @@ class SynthConfig:
     planted_body_fem: float = 0.0
     relation: Relation = Relation.AMOD
     kind: SenseKind = SenseKind.ADJ
-    gendered_per_side: int | None = None  # default vocab_size // 6
-    active_forms: int = 36  # noun forms carrying probability mass, gender-balanced
-    deviation_low: float = 1.0
-    deviation_high: float = 3.0
-    body_base_low: float = 0.02
-    body_base_high: float = 0.18
 
 
 @dataclass
@@ -53,13 +47,14 @@ def generate(config: SynthConfig, lex: GenderLexicon) -> SynthData:
     space = FeatureSpace.from_lexicon(lex)
     masc_pool = [f for f in lex.forms() if lex.gender_of(f) is Gender.MASC]
     fem_pool = [f for f in lex.forms() if lex.gender_of(f) is Gender.FEM]
-    per_gender = max(1, min(config.active_forms // 2, len(masc_pool), len(fem_pool)))
+    # 36 noun forms carry probability mass, half of each gender.
+    per_gender = max(1, min(18, len(masc_pool), len(fem_pool)))
     forms = tuple(sorted(
         list(rng.choice(masc_pool, size=per_gender, replace=False))
         + list(rng.choice(fem_pool, size=per_gender, replace=False))))
     vocab = tuple(f"adj{i:03d}" for i in range(config.vocab_size))
 
-    per_side = config.gendered_per_side or config.vocab_size // 6
+    per_side = config.vocab_size // 6
     order = rng.permutation(config.vocab_size)
     fem_ids = np.sort(order[:per_side])
     masc_ids = np.sort(order[per_side: 2 * per_side])
@@ -67,7 +62,7 @@ def generate(config: SynthConfig, lex: GenderLexicon) -> SynthData:
     gendered = fem_set | masc_set
 
     # Graded gender deviations on the POS component; fillers stay at zero.
-    grades = np.linspace(config.deviation_low, config.deviation_high, per_side)
+    grades = np.linspace(1.0, 3.0, per_side)
     eta = np.zeros((config.vocab_size, 3, space.dim))
     for grade, v in zip(grades, fem_ids):
         eta[v, 0, space.fem_index] = grade
@@ -90,7 +85,7 @@ def generate(config: SynthConfig, lex: GenderLexicon) -> SynthData:
     sense_rows = []
     true_body = np.zeros(config.vocab_size)
     for v in range(config.vocab_size):
-        body = rng.uniform(config.body_base_low, config.body_base_high)
+        body = rng.uniform(0.02, 0.18)
         if v in fem_set:
             body += config.planted_body_fem
         rest = rng.dirichlet(np.ones(len(other))) * (1.0 - body)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -63,3 +65,68 @@ class TestCheckpoint:
         path.write_text('{"format": "something-else"}')
         with pytest.raises(DataError, match="unrecognized checkpoint format"):
             load_checkpoint(path)
+
+
+def _drop_xi(doc):
+    del doc["xi"]
+
+
+def _eta_index_past_end(doc):
+    doc["eta"][0][0] = doc["eta_shape"][0]
+
+
+def _eta_index_negative(doc):
+    doc["eta"][0][2] = -1
+
+
+def _unknown_config_key(doc):
+    doc["config"]["momentum"] = 0.5
+
+
+def _eta_shape_off_vocab(doc):
+    doc["eta_shape"][0] += 1
+
+
+def _eta_shape_off_space(doc):
+    doc["eta_shape"][2] -= 1
+
+
+def _omega_off_eta_shape(doc):
+    doc["omega"] = [row[:1] for row in doc["omega"]]
+
+
+MALFORMED = {
+    "missing_key": (_drop_xi, "missing key 'xi'"),
+    "eta_index_out_of_range": (_eta_index_past_end, "outside eta_shape"),
+    "eta_index_negative": (_eta_index_negative, "outside eta_shape"),
+    "unknown_config_key": (_unknown_config_key, "unknown config key"),
+    "eta_shape_vs_vocab": (_eta_shape_off_vocab, "eta_shape"),
+    "eta_shape_vs_space": (_eta_shape_off_space, "eta_shape"),
+    "omega_vs_eta_shape": (_omega_off_eta_shape, "eta_shape"),
+}
+
+
+@pytest.mark.parametrize("mutate, match", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_checkpoint_is_a_data_error(toy_table, space, tmp_path, mutate, match):
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, random_params(toy_table, space), space, TrainConfig(), "fp", "amod")
+    doc = json.loads(path.read_text())
+    mutate(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=match):
+        load_checkpoint(path)
+
+
+def test_top_level_list_is_a_data_error(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2, 3]")
+    with pytest.raises(DataError, match="malformed checkpoint"):
+        load_checkpoint(path)
+
+
+def test_v1_optimizer_constants_are_written(toy_table, space, tmp_path):
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, random_params(toy_table, space), space, TrainConfig(), "fp", "amod")
+    config = json.loads(path.read_text())["config"]
+    assert {k: config[k] for k in ("adam_beta1", "adam_beta2", "adam_epsilon", "window")} == {
+        "adam_beta1": 0.9, "adam_beta2": 0.999, "adam_epsilon": 1e-8, "window": 50}

@@ -93,6 +93,37 @@ def test_unreadable_input_is_a_data_error(tmp_path, capsys, argv, kind):
     assert capsys.readouterr().err.startswith("data error: ")
 
 
+COMMANDS = {
+    "train": ["train", "--corpus", str(DATA / "toy_corpus.tsv"), "--relation", "amod",
+              "--max-iterations", "5"],
+    "prop1": ["report", "prop1", "--corpus", str(DATA / "toy_corpus.tsv"), "--relation", "amod"],
+}
+REALS, INTS = ["0", "-1", "nan"], ["0", "-1"]
+BAD_FLAGS = [(command, flag, value) for command, flag, values in [
+    ("train", "--learning-rate", REALS), ("train", "--tolerance", REALS),
+    ("train", "--max-iterations", INTS), ("train", "--jobs", INTS),
+    ("train", "--alpha-grid", ["nan"]), ("train", "--beta-grid", ["nan"]),
+    ("prop1", "--learning-rate", REALS), ("prop1", "--max-iterations", INTS),
+    ("prop1", "--saturation-tol", REALS),
+] for value in values]
+
+
+@pytest.mark.parametrize("command, flag, value", BAD_FLAGS,
+                         ids=[f"{c}{f}={v}" for c, f, v in BAD_FLAGS])
+def test_non_positive_or_nan_flag_is_a_usage_error(tmp_path, capsys, command, flag, value):
+    assert main([*COMMANDS[command], flag, value, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("usage error: ")
+
+
+def test_malformed_checkpoint_is_a_data_error(trained, tmp_path, capsys):
+    doc = json.loads((trained / "checkpoint_averaged.json").read_text())
+    doc["eta"][0][0] = len(doc["vocab"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["report", "topk", "--checkpoint", str(bad), "--out", str(tmp_path / "t")]) == 2
+    assert capsys.readouterr().err.startswith("data error: ")
+
+
 class TestTrain:
     def test_outputs(self, trained):
         assert (trained / "checkpoint_alpha0.001_beta0.5.json").exists()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genderedlang import model
 from genderedlang.corpus import Gender
 from genderedlang.errors import DataError, NumericalError
 from genderedlang.lexicons import SENTIMENTS, SentimentPrior
@@ -372,6 +373,16 @@ class TestTrain:
         with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
             train(toy_table, space, None, TrainConfig(learning_rate=float("inf"),
                                                       max_iterations=10))
+
+    def test_learning_rate_floor_is_not_convergence(self, toy_table, space, monkeypatch):
+        # Every candidate scores below the start, so each step is rejected
+        # and the rate halves until it falls under the 1e-12 floor.
+        values = iter([0.0])
+        monkeypatch.setattr(model, "_objective_from", lambda *args: next(values, -1.0))
+        result = train(toy_table, space, None, TrainConfig())
+        assert result.iterations == 0
+        assert result.trace == [0.0]
+        assert not result.converged
 
     def test_beta_without_prior_rejected(self, toy_table, space):
         with pytest.raises(DataError, match="sentiment lexicon"):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from genderedlang.corpus import Gender
 from genderedlang.errors import DataError
-from genderedlang.model import TrainConfig
 from genderedlang.pmi import (GenderCollapsedTable, collapse_by_gender, pmi_table,
                               prop1_check, restricted_train)
 
@@ -88,25 +87,19 @@ class TestRestrictedTrain:
             counts[(f"w{i:02d}", Gender.MASC)] = int(rng.integers(1, 400))
             counts[(f"w{i:02d}", Gender.FEM)] = int(rng.integers(1, 400))
         t = gtable(counts)
-        result = restricted_train(t, TrainConfig(learning_rate=0.2), saturation_tol=1e-7)
+        result = restricted_train(t, learning_rate=0.2, saturation_tol=1e-7)
         assert result.converged
         assert result.max_deviation <= 1e-7
 
     def test_single_gender_rejected(self):
         t = gtable({("a", Gender.MASC): 5, ("b", Gender.MASC): 3})
         with pytest.raises(DataError, match="both genders required"):
-            restricted_train(t, TrainConfig())
-
-    def test_regularizers_must_be_off(self):
-        t = gtable(SYMMETRIC)
-        with pytest.raises(DataError, match="alpha = beta = 0"):
-            restricted_train(t, TrainConfig(alpha=0.01))
+            restricted_train(t)
 
 
 class TestProp1:
     def test_two_by_two_hand_values(self):
-        report = prop1_check(gtable(SYMMETRIC), TrainConfig(learning_rate=0.2),
-                             saturation_tol=1e-10)
+        report = prop1_check(gtable(SYMMETRIC), learning_rate=0.2, saturation_tol=1e-10)
         # normalized tau_M = (0.75, 0.25) = normalized exp(PMI) = (1.5, 0.5)/2
         counts = gtable(SYMMETRIC).count_matrix()
         eta = report.restricted.eta
@@ -122,8 +115,7 @@ class TestProp1:
         for i in range(50):
             counts[(f"w{i:02d}", Gender.MASC)] = int(rng.integers(1, 1001))
             counts[(f"w{i:02d}", Gender.FEM)] = int(rng.integers(1, 1001))
-        report = prop1_check(gtable(counts), TrainConfig(learning_rate=0.2),
-                             saturation_tol=1e-9)
+        report = prop1_check(gtable(counts), learning_rate=0.2, saturation_tol=1e-9)
         for g in (Gender.MASC, Gender.FEM):
             assert report.max_deviation[g] <= 1e-3
             assert report.rank_correlation[g] == 1.0
