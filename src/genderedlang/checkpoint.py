@@ -63,8 +63,8 @@ def _space_from_payload(payload: dict) -> FeatureSpace:
     for form, (lemma, gender, number) in payload["forms"].items():
         bits[form] = (
             lemma_pos[lemma],
-            n + (0 if gender == Gender.MASC.value else 1),
-            n + 2 + (0 if number == Number.SG.value else 1),
+            n + (0 if Gender(gender) is Gender.MASC else 1),
+            n + 2 + (0 if Number(number) is Number.SG else 1),
         )
     return FeatureSpace(lemmas=lemmas, form_bits=bits)
 
@@ -96,7 +96,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     text = Path(path).read_text(encoding="utf-8")
     try:
         return _from_doc(json.loads(text))
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, RecursionError) as err:
         raise DataError(f"{path}: not a valid checkpoint: {err}") from None
     except DataError as err:
         raise DataError(f"{path}: {err}") from None
@@ -115,6 +115,9 @@ def _from_doc(doc: dict) -> Checkpoint:
     config = TrainConfig(**{key: doc["config"][key] for key in _CONFIG_KEYS})
     space = _space_from_payload(doc["space"])
     vocab, forms = tuple(doc["vocab"]), tuple(doc["forms"])
+    if (not all(isinstance(w, str) for w in vocab + forms) or len(set(vocab)) < len(vocab)
+            or len(set(forms)) < len(forms) or not set(forms) <= space.form_bits.keys()):
+        raise DataError("vocab and forms must be distinct strings, every form in the feature space")
     shape = tuple(doc["eta_shape"])
     m = np.array(doc["m"], dtype=float)
     omega = np.array(doc["omega"], dtype=float)
@@ -129,6 +132,9 @@ def _from_doc(doc: dict) -> Checkpoint:
         if not (0 <= v < shape[0] and 0 <= s < shape[1] and 0 <= t < shape[2]):
             raise DataError(f"eta index {[v, s, t]} outside eta_shape {list(shape)}")
         eta[v, s, t] = value
+    for name, values in (("m", m), ("eta", eta), ("omega", omega), ("xi", xi)):
+        if not np.isfinite(values).all():
+            raise DataError(f"non-finite value in {name}")
     return Checkpoint(
         params=ModelParams(vocab=vocab, forms=forms, m=m, eta=eta, omega=omega, xi=xi),
         space=space,

@@ -8,20 +8,21 @@ write byte-identical outputs.  Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from pathlib import Path
 
 from . import checkpoint as ckpt
 from . import evaluation as ev
-from .corpus import (Gender, IngestStats, Relation, aggregate_counts, bundled_lexicon_path,
-                     gender_marginals, iter_arcs, iter_canonical, load_gender_lexicon,
-                     write_canonical)
+from .corpus import (Gender, IngestStats, Relation, aggregate_by_relation, aggregate_counts,
+                     bundled_lexicon_path, gender_marginals, iter_arcs, iter_canonical,
+                     load_gender_lexicon, write_canonical)
 from .pmi import collapse_by_gender, pmi_table, prop1_check
 from .errors import DataError, NumericalError, UsageError
 from .lexicons import (SENTIMENTS, SenseKind, load_sense_inventory, load_sentiment_lexicon)
 from .model import FeatureSpace, TrainConfig, grid_train_average
-from .synth import SynthConfig, generate, write_synth
+from .synth import MAX_PLANTED_BODY_FEM, SynthConfig, generate, write_synth
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,19 +73,14 @@ def cmd_ingest(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     stats = IngestStats()
     reader = iter_arcs if args.format == "arcs" else iter_canonical
-    pairs = []
-    for path in args.input:
-        pairs.extend(reader(path, lex, stats))
+    tables = aggregate_by_relation(
+        itertools.chain.from_iterable(reader(path, lex, stats) for path in args.input), lex)
+    if not tables:
+        raise DataError("no usable records in any input file")
 
     report = {"malformed_lines": stats.malformed, "input_lines": stats.lines,
               "unknown_forms": stats.unknown_forms, "relations": {}}
-    wrote_any = False
-    for relation in Relation:
-        try:
-            table = aggregate_counts(pairs, relation, lex)
-        except DataError:
-            continue
-        wrote_any = True
+    for relation, table in tables.items():
         write_canonical(out / f"{relation.value}.tsv", table)
         marg = gender_marginals(table, lex)
         report["relations"][relation.value] = {
@@ -95,8 +91,6 @@ def cmd_ingest(args) -> int:
             "masc_count": marg[Gender.MASC],
             "fem_count": marg[Gender.FEM],
         }
-    if not wrote_any:
-        raise DataError("no usable records in any input file")
     (out / "stats.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n",
                                     encoding="utf-8")
     print(f"wrote {len(report['relations'])} relation file(s) to {out}")
@@ -289,6 +283,8 @@ def cmd_report_permtest(args) -> int:
     _require_positive(args, "permutations")
     if args.tests <= 0:
         raise UsageError("--tests must be positive")
+    if not 0 < args.alpha < 1:  # NaN fails too
+        raise UsageError("--alpha must be in (0, 1)")
     result = ev.permutation_test(_read_values(args.group_a), _read_values(args.group_b),
                                  permutations=args.permutations, seed=args.seed,
                                  alpha=args.alpha / args.tests)
@@ -322,6 +318,9 @@ def cmd_report_prop1(args) -> int:
 def cmd_synth(args) -> int:
     if args.vocab_size < 12:
         raise UsageError("--vocab-size must be at least 12")
+    _require_positive(args, "n_pairs")
+    if not 0 <= args.planted_body_fem <= MAX_PLANTED_BODY_FEM:  # NaN fails too
+        raise UsageError(f"--planted-body-fem must be in [0, {MAX_PLANTED_BODY_FEM}]")
     lex = _load_lexicon(args)
     config = SynthConfig(seed=args.seed, vocab_size=args.vocab_size, n_pairs=args.n_pairs,
                          planted_body_fem=args.planted_body_fem, kind=SenseKind(args.kind),

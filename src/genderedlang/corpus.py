@@ -126,7 +126,6 @@ class IngestStats:
     lines: int = 0
     malformed: int = 0
     unknown_forms: int = 0
-    pairs: int = 0
 
 
 _ACCEPTED_LABELS = {r.value: r for r in Relation}
@@ -196,7 +195,6 @@ def iter_arcs(path: str | Path, lex: GenderLexicon, stats: IngestStats | None = 
             except MalformedLineError:
                 stats.malformed += 1
                 continue
-            stats.pairs += len(pairs)
             yield from pairs
 
 
@@ -227,7 +225,6 @@ def iter_canonical(path: str | Path, lex: GenderLexicon, stats: IngestStats | No
             if form not in lex:
                 stats.unknown_forms += 1
                 continue
-            stats.pairs += 1
             yield Pair(form, neighbor.strip().lower(), relation, count)
 
 
@@ -267,41 +264,43 @@ class CountTable:
         return h.hexdigest()
 
 
+def aggregate_by_relation(records: Iterable[Pair],
+                          lex: GenderLexicon) -> dict[Relation, CountTable]:
+    """Sum a record stream into one CountTable per relation, in a single pass.
+
+    Result is independent of record order; zero-count records are ignored,
+    and a relation with no usable record is absent.  Tables come in
+    Relation order.
+    """
+    counts: dict[Relation, Counter[tuple[str, str]]] = {}
+    for form, neighbor, rel, count in records:
+        if count == 0:
+            continue
+        if form not in lex:
+            raise DataError(f"noun form {form!r} not in gender lexicon")
+        counts.setdefault(rel, Counter())[(neighbor, form)] += count
+    return {
+        rel: CountTable(
+            relation=rel,
+            counts=dict(counts[rel]),
+            vocab=tuple(sorted({neighbor for neighbor, _ in counts[rel]})),
+            forms=tuple(sorted({form for _, form in counts[rel]})),
+            total=sum(counts[rel].values()),
+        )
+        for rel in Relation if rel in counts
+    }
+
+
 def aggregate_counts(records: Iterable[Pair], relation: Relation, lex: GenderLexicon) -> CountTable:
     """Sum records for one relation into a CountTable.
 
     Result is independent of record order; zero-count records are ignored.
     Raises DataError when no usable record survives.
     """
-    counts: Counter[tuple[str, str]] = Counter()
-    for form, neighbor, rel, count in records:
-        if rel is not relation or count == 0:
-            continue
-        if form not in lex:
-            raise DataError(f"noun form {form!r} not in gender lexicon")
-        counts[(neighbor, form)] += count
-    if not counts:
+    tables = aggregate_by_relation((r for r in records if r.relation is relation), lex)
+    if relation not in tables:
         raise DataError(f"empty table: no usable records for relation {relation.value!r}")
-    vocab = tuple(sorted({neighbor for neighbor, _ in counts}))
-    forms = tuple(sorted({form for _, form in counts}))
-    return CountTable(
-        relation=relation,
-        counts=dict(counts),
-        vocab=vocab,
-        forms=forms,
-        total=sum(counts.values()),
-    )
-
-
-def merge_tables(a: CountTable, b: CountTable) -> CountTable:
-    """Associative, commutative merge of two shards of the same relation."""
-    if a.relation is not b.relation:
-        raise DataError(f"cannot merge tables for {a.relation.value} and {b.relation.value}")
-    counts = Counter(a.counts)
-    counts.update(b.counts)
-    vocab = tuple(sorted(set(a.vocab) | set(b.vocab)))
-    forms = tuple(sorted(set(a.forms) | set(b.forms)))
-    return CountTable(a.relation, dict(counts), vocab, forms, a.total + b.total)
+    return tables[relation]
 
 
 def write_canonical(path: str | Path, table: CountTable) -> None:

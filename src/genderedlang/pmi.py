@@ -22,27 +22,25 @@ GENDERS = (Gender.MASC, Gender.FEM)
 
 @dataclass(frozen=True)
 class GenderCollapsedTable:
-    """Counts #(neighbor, gender), neighbors sorted; total matches the source."""
+    """Counts #(neighbor, gender), shape (|V|, 2) in (MASC, FEM) column order, neighbors sorted."""
 
-    counts: dict[tuple[str, Gender], int]
+    matrix: np.ndarray
     vocab: tuple[str, ...]
-    total: int
+
+    @property
+    def total(self) -> int:
+        return int(self.matrix.sum())
 
     def count_matrix(self) -> np.ndarray:
         """Dense counts, shape (|V|, 2) in (MASC, FEM) column order."""
-        v_idx = {v: i for i, v in enumerate(self.vocab)}
-        out = np.zeros((len(self.vocab), 2))
-        for (neighbor, gender), count in self.counts.items():
-            out[v_idx[neighbor], GENDERS.index(gender)] = count
-        return out
+        return self.matrix
 
 
 def collapse_by_gender(table: CountTable, lex: GenderLexicon) -> GenderCollapsedTable:
-    counts: dict[tuple[str, Gender], int] = {}
-    for (neighbor, form), count in table.counts.items():
-        key = (neighbor, lex.gender_of(form))
-        counts[key] = counts.get(key, 0) + count
-    return GenderCollapsedTable(counts=counts, vocab=table.vocab, total=table.total)
+    """Sum the per-form count columns by noun gender."""
+    onehot = np.array([[lex.gender_of(form) is g for g in GENDERS] for form in table.forms],
+                      dtype=float)
+    return GenderCollapsedTable(matrix=table.count_matrix() @ onehot, vocab=table.vocab)
 
 
 def _require_both_genders(gtable: GenderCollapsedTable) -> np.ndarray:
@@ -58,12 +56,8 @@ def pmi_table(gtable: GenderCollapsedTable) -> dict[tuple[str, Gender], float]:
     total = gtable.total
     p_v = counts.sum(axis=1) / total
     p_g = counts.sum(axis=0) / total
-    out = {}
-    for i, neighbor in enumerate(gtable.vocab):
-        for j, gender in enumerate(GENDERS):
-            if counts[i, j] > 0:
-                out[(neighbor, gender)] = math.log((counts[i, j] / total) / (p_v[i] * p_g[j]))
-    return out
+    return {(gtable.vocab[i], GENDERS[j]): math.log((counts[i, j] / total) / (p_v[i] * p_g[j]))
+            for i, j in zip(*np.nonzero(counts > 0))}
 
 
 @dataclass

@@ -19,6 +19,10 @@ from .corpus import Gender, GenderLexicon, Pair, Relation, aggregate_counts, wri
 from .lexicons import SenseKind, Sentiment
 from .model import FeatureSpace, ModelParams, _forward
 
+# Base body-sense weights are drawn below 0.18, so a planted shift up to this
+# keeps every body weight, and so every remaining sense weight, in [0, 1].
+MAX_PLANTED_BODY_FEM = 0.82
+
 
 @dataclass(frozen=True)
 class SynthConfig:

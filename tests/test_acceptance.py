@@ -50,13 +50,8 @@ def random_collapsed_table(seed, neighbors=50, max_count=1000, min_rel_gap=1e-3)
                 ok = False
                 break
         if ok:
-            table = {}
-            for i in range(neighbors):
-                table[(f"w{i:02d}", Gender.MASC)] = int(counts[i, 0])
-                table[(f"w{i:02d}", Gender.FEM)] = int(counts[i, 1])
-            return GenderCollapsedTable(counts=table,
-                                        vocab=tuple(sorted({w for w, _ in table})),
-                                        total=int(counts.sum()))
+            return GenderCollapsedTable(matrix=counts.astype(float),
+                                        vocab=tuple(f"w{i:02d}" for i in range(neighbors)))
     raise AssertionError("could not sample a tie-free table")
 
 

@@ -95,6 +95,46 @@ def _omega_off_eta_shape(doc):
     doc["omega"] = [row[:1] for row in doc["omega"]]
 
 
+def _nan_m(doc):
+    doc["m"][0] = float("nan")
+
+
+def _inf_eta(doc):
+    doc["eta"][0][3] = float("inf")
+
+
+def _inf_omega(doc):
+    doc["omega"][0][0] = float("-inf")
+
+
+def _nan_xi(doc):
+    doc["xi"][-1] = float("nan")
+
+
+def _bad_gender_token(doc):
+    next(iter(doc["space"]["forms"].values()))[1] = "xyz"
+
+
+def _bad_number_token(doc):
+    next(iter(doc["space"]["forms"].values()))[2] = "xyz"
+
+
+def _vocab_entry_not_a_string(doc):
+    doc["vocab"][0] = [1]
+
+
+def _duplicate_form(doc):
+    doc["forms"][1] = doc["forms"][0]
+
+
+def _form_outside_space(doc):
+    doc["forms"][0] = "zzz"
+
+
+def _deeply_nested(doc):
+    return '{"extra": ' + "[" * 100_000 + "]" * 100_000 + "}"
+
+
 MALFORMED = {
     "missing_key": (_drop_xi, "missing key 'xi'"),
     "eta_index_out_of_range": (_eta_index_past_end, "outside eta_shape"),
@@ -103,6 +143,16 @@ MALFORMED = {
     "eta_shape_vs_vocab": (_eta_shape_off_vocab, "eta_shape"),
     "eta_shape_vs_space": (_eta_shape_off_space, "eta_shape"),
     "omega_vs_eta_shape": (_omega_off_eta_shape, "eta_shape"),
+    "nan_m": (_nan_m, "non-finite value in m"),
+    "inf_eta": (_inf_eta, "non-finite value in eta"),
+    "inf_omega": (_inf_omega, "non-finite value in omega"),
+    "nan_xi": (_nan_xi, "non-finite value in xi"),
+    "bad_gender_token": (_bad_gender_token, "not a valid Gender"),
+    "bad_number_token": (_bad_number_token, "not a valid Number"),
+    "vocab_entry_not_a_string": (_vocab_entry_not_a_string, "distinct strings"),
+    "duplicate_form": (_duplicate_form, "distinct strings"),
+    "form_outside_space": (_form_outside_space, "distinct strings"),
+    "deeply_nested": (_deeply_nested, "not a valid checkpoint"),
 }
 
 
@@ -111,8 +161,7 @@ def test_malformed_checkpoint_is_a_data_error(toy_table, space, tmp_path, mutate
     path = tmp_path / "ckpt.json"
     save_checkpoint(path, random_params(toy_table, space), space, TrainConfig(), "fp", "amod")
     doc = json.loads(path.read_text())
-    mutate(doc)
-    path.write_text(json.dumps(doc))
+    path.write_text(mutate(doc) or json.dumps(doc))
     with pytest.raises(DataError, match=match):
         load_checkpoint(path)
 

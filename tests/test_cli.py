@@ -58,6 +58,20 @@ class TestIngest:
         for name in ("amod.tsv", "nsubj.tsv", "dobj.tsv", "stats.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_two_inputs_equal_their_concatenation(self, tmp_path):
+        lines = (DATA / "toy.arcs").read_text().splitlines(keepends=True)
+        half = len(lines) // 2
+        for name, part in (("first", lines[:half]), ("second", lines[half:]), ("both", lines)):
+            (tmp_path / f"{name}.arcs").write_text("".join(part))
+        split, whole = tmp_path / "split", tmp_path / "whole"
+        assert main(["ingest", "--input", str(tmp_path / "first.arcs"),
+                     "--input", str(tmp_path / "second.arcs"), "--out", str(split)]) == 0
+        assert main(["ingest", "--input", str(tmp_path / "both.arcs"), "--out", str(whole)]) == 0
+        names = sorted(p.name for p in whole.iterdir())
+        assert names == ["amod.tsv", "dobj.tsv", "nsubj.tsv", "stats.json"]
+        for name in names:
+            assert (split / name).read_bytes() == (whole / name).read_bytes()
+
     def test_empty_input_is_a_data_error(self, tmp_path):
         empty = tmp_path / "empty.arcs"
         empty.write_text("")
@@ -97,6 +111,8 @@ COMMANDS = {
     "train": ["train", "--corpus", str(DATA / "toy_corpus.tsv"), "--relation", "amod",
               "--max-iterations", "5"],
     "prop1": ["report", "prop1", "--corpus", str(DATA / "toy_corpus.tsv"), "--relation", "amod"],
+    "synth": ["synth", "--vocab-size", "12", "--n-pairs", "100"],
+    "permtest": ["report", "permtest", "--group-a", "{tmp}/a.txt", "--group-b", "{tmp}/b.txt"],
 }
 REALS, INTS = ["0", "-1", "nan"], ["0", "-1"]
 BAD_FLAGS = [(command, flag, value) for command, flag, values in [
@@ -105,13 +121,18 @@ BAD_FLAGS = [(command, flag, value) for command, flag, values in [
     ("train", "--alpha-grid", ["nan"]), ("train", "--beta-grid", ["nan"]),
     ("prop1", "--learning-rate", REALS), ("prop1", "--max-iterations", INTS),
     ("prop1", "--saturation-tol", REALS),
+    ("synth", "--n-pairs", ["0", "-5"]), ("synth", "--planted-body-fem", ["nan", "-0.1", "0.95"]),
+    ("permtest", "--alpha", ["0", "-1", "nan", "1", "5"]),
 ] for value in values]
 
 
 @pytest.mark.parametrize("command, flag, value", BAD_FLAGS,
                          ids=[f"{c}{f}={v}" for c, f, v in BAD_FLAGS])
 def test_non_positive_or_nan_flag_is_a_usage_error(tmp_path, capsys, command, flag, value):
-    assert main([*COMMANDS[command], flag, value, "--out", str(tmp_path / "out")]) == 1
+    (tmp_path / "a.txt").write_text("1\n2\n3\n")
+    (tmp_path / "b.txt").write_text("4\n5\n6\n")
+    argv = [a.format(tmp=tmp_path) for a in COMMANDS[command]]
+    assert main([*argv, flag, value, "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith("usage error: ")
 
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genderedlang.corpus import (Gender, IngestStats, Number, Pair, Relation,
-                                 aggregate_counts, gender_marginals,
+                                 aggregate_by_relation, aggregate_counts, gender_marginals,
                                  iter_arcs, iter_canonical, load_gender_lexicon,
-                                 merge_tables, parse_arcs_line)
+                                 parse_arcs_line)
 from genderedlang.errors import DataError, MalformedLineError
 
 from conftest import DATA, make_table
@@ -172,20 +173,6 @@ class TestAggregate:
         rng.shuffle(shuffled)
         assert aggregate_counts_helper(pairs).counts == aggregate_counts_helper(shuffled).counts
 
-    def test_two_shard_merge_equals_single_pass(self):
-        # brute-force comparison on 100 random records
-        rng = random.Random(11)
-        forms = ["woman", "man", "girl", "boy"]
-        pairs = [Pair(rng.choice(forms), f"a{rng.randint(0, 9)}", Relation.AMOD,
-                      rng.randint(1, 30)) for _ in range(100)]
-        cut = rng.randint(1, 99)
-        merged = merge_tables(aggregate_counts_helper(pairs[:cut]),
-                              aggregate_counts_helper(pairs[cut:]))
-        single = aggregate_counts_helper(pairs)
-        assert merged.counts == single.counts
-        assert merged.total == single.total
-        assert merged.vocab == single.vocab and merged.forms == single.forms
-
     def test_empty_rejected(self, lexicon):
         with pytest.raises(DataError, match="empty table"):
             aggregate_counts([], Relation.AMOD, lexicon)
@@ -195,22 +182,28 @@ class TestAggregate:
         with pytest.raises(DataError, match="empty table"):
             aggregate_counts(pairs, Relation.AMOD, lexicon)
 
-    @given(st.lists(st.tuples(st.sampled_from(["woman", "man", "girl", "boy"]),
+    @given(st.lists(st.tuples(st.sampled_from(list(Relation)),
+                              st.sampled_from(["woman", "man", "girl", "boy"]),
                               st.sampled_from(["a", "b", "c"]),
-                              st.integers(min_value=1, max_value=50)),
-                    min_size=1, max_size=30),
-           st.integers(min_value=0, max_value=30))
+                              st.integers(min_value=0, max_value=50)),
+                    max_size=40))
     @settings(max_examples=50, deadline=None)
-    def test_merge_is_a_monoid_over_splits(self, lexicon, records, cut_raw):
-        pairs = [Pair(f, n, Relation.AMOD, c) for f, n, c in records]
-        cut = min(cut_raw, len(pairs))
-        if cut == 0 or cut == len(pairs):
-            return
-        merged = merge_tables(
-            aggregate_counts(pairs[:cut], Relation.AMOD, lexicon),
-            aggregate_counts(pairs[cut:], Relation.AMOD, lexicon))
-        single = aggregate_counts(pairs, Relation.AMOD, lexicon)
-        assert merged == single
+    def test_one_pass_equals_per_relation_aggregation(self, lexicon, records):
+        pairs = [Pair(f, n, r, c) for r, f, n, c in records]
+        tables = aggregate_by_relation(iter(pairs), lexicon)
+        assert list(tables) == [r for r in Relation if r in tables]
+        for relation in Relation:
+            expected = Counter()
+            for p in pairs:
+                if p.relation is relation and p.count:
+                    expected[(p.neighbor, p.form)] += p.count
+            if relation in tables:
+                assert tables[relation] == aggregate_counts(pairs, relation, lexicon)
+                assert tables[relation].counts == dict(expected)
+                assert tables[relation].total == sum(expected.values())
+            else:
+                with pytest.raises(DataError, match="empty table"):
+                    aggregate_counts(pairs, relation, lexicon)
 
     @given(st.dictionaries(
         st.tuples(st.sampled_from(["a", "b", "c", "d"]),

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from genderedlang.corpus import Gender
 from genderedlang.errors import DataError
-from genderedlang.pmi import (GenderCollapsedTable, collapse_by_gender, pmi_table,
+from genderedlang.pmi import (GENDERS, GenderCollapsedTable, collapse_by_gender, pmi_table,
                               prop1_check, restricted_train)
 
 from conftest import make_table
@@ -15,8 +15,10 @@ from conftest import make_table
 
 def gtable(counts: dict) -> GenderCollapsedTable:
     vocab = tuple(sorted({w for w, _ in counts}))
-    return GenderCollapsedTable(counts=dict(counts), vocab=vocab,
-                                total=sum(counts.values()))
+    matrix = np.zeros((len(vocab), 2))
+    for (w, g), count in counts.items():
+        matrix[vocab.index(w), GENDERS.index(g)] = count
+    return GenderCollapsedTable(matrix=matrix, vocab=vocab)
 
 
 SYMMETRIC = {("a", Gender.MASC): 30, ("a", Gender.FEM): 10,
@@ -58,8 +60,9 @@ class TestPmi:
                             ("y", "he"): 2, ("y", "she"): 3}, lex=lexicon)
         collapsed = collapse_by_gender(table, lexicon)
         assert collapsed.total == table.total
-        assert collapsed.counts[("x", Gender.FEM)] == 10
-        assert collapsed.counts[("y", Gender.MASC)] == 2
+        counts = collapsed.count_matrix()
+        assert counts[collapsed.vocab.index("x"), GENDERS.index(Gender.FEM)] == 10
+        assert counts[collapsed.vocab.index("y"), GENDERS.index(Gender.MASC)] == 2
 
     @given(st.lists(st.tuples(st.integers(1, 500), st.integers(1, 500)),
                     min_size=2, max_size=12))
