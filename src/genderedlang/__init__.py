@@ -12,7 +12,7 @@ from .lexicons import (ADJECTIVE_SENSES, SENTIMENTS, VERB_SENSES, SenseInventory
                        load_sentiment_lexicon)
 from .model import (FeatureSpace, ModelParams, TrainConfig, TrainResult, cond_neighbor,
                     gradient, grid_train_average, init_params, joint_marginal,
-                    mean_posterior_kl, noun_prior, objective, score, sent_given_noun,
+                    mean_posterior_kl, noun_prior, objective, sent_given_noun,
                     sentiment_posterior, train)
 from .pmi import (GenderCollapsedTable, collapse_by_gender, pmi_table, prop1_check,
                   restricted_train)

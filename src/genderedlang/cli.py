@@ -85,7 +85,7 @@ def cmd_ingest(args) -> int:
         marg = gender_marginals(table, lex)
         report["relations"][relation.value] = {
             "total_count": table.total,
-            "distinct_pairs": len(table.counts),
+            "distinct_pairs": int((table.matrix > 0).sum()),
             "neighbors": len(table.vocab),
             "noun_forms": len(table.forms),
             "masc_count": marg[Gender.MASC],

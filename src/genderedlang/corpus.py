@@ -5,7 +5,7 @@ Raw collocation data arrives either in the dependency-arcs export format
 ``word/POS/deplabel/head-index``) or as canonical TSV
 (``relation<TAB>noun_form<TAB>neighbor_lemma<TAB>count``).  Only amod, nsubj
 and dobj arcs whose noun side is a known gendered, animate noun survive
-ingestion; counts are aggregated across years into a sparse table per
+ingestion; counts are aggregated across years into a count matrix per
 relation.
 """
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
@@ -237,31 +237,47 @@ class CountTable:
     """Aggregated #(neighbor, noun form) counts for one dependency relation."""
 
     relation: Relation
-    counts: dict[tuple[str, str], int]  # (neighbor, form) -> count
+    matrix: np.ndarray  # int64, (|V|, |G|): rows in sorted vocab order, columns in sorted form order
     vocab: tuple[str, ...]
     forms: tuple[str, ...]
-    total: int = field(default=0)
+
+    @property
+    def total(self) -> int:
+        return int(self.matrix.sum())
 
     def count_matrix(self) -> np.ndarray:
-        """Dense counts, shape (|V|, |G|) in vocab x forms order."""
-        v_idx = {v: i for i, v in enumerate(self.vocab)}
-        f_idx = {f: i for i, f in enumerate(self.forms)}
-        out = np.zeros((len(self.vocab), len(self.forms)))
-        for (neighbor, form), count in self.counts.items():
-            out[v_idx[neighbor], f_idx[form]] = count
-        return out
+        """Counts, shape (|V|, |G|) in vocab x forms order."""
+        return self.matrix
 
     def p_hat(self) -> np.ndarray:
         """Empirical joint probability of (neighbor, noun form)."""
-        return self.count_matrix() / self.total
+        return self.matrix / self.total
+
+    def entries(self) -> Iterator[tuple[str, str, int]]:
+        """(neighbor, form, count) of every nonzero cell, in sorted (neighbor, form) order."""
+        rows, cols = np.nonzero(self.matrix)
+        return zip([self.vocab[i] for i in rows.tolist()], [self.forms[j] for j in cols.tolist()],
+                   self.matrix[rows, cols].tolist())
 
     def fingerprint(self) -> str:
         """Order-independent sha256 of (relation, sorted count triples)."""
         h = hashlib.sha256()
         h.update(self.relation.value.encode())
-        for neighbor, form in sorted(self.counts):
-            h.update(f"\n{neighbor}\t{form}\t{self.counts[(neighbor, form)]}".encode())
+        for neighbor, form, count in self.entries():
+            h.update(f"\n{neighbor}\t{form}\t{count}".encode())
         return h.hexdigest()
+
+
+def _build_table(relation: Relation, counts: Counter[tuple[str, str]]) -> CountTable:
+    if sum(counts.values()) >= 2 ** 63:
+        raise DataError(f"total count for relation {relation.value!r} exceeds the int64 range")
+    vocab = tuple(sorted({neighbor for neighbor, _ in counts}))
+    forms = tuple(sorted({form for _, form in counts}))
+    v_idx = {v: i for i, v in enumerate(vocab)}
+    f_idx = {f: j for j, f in enumerate(forms)}
+    matrix = np.zeros((len(vocab), len(forms)), dtype=np.int64)
+    matrix[[v_idx[n] for n, _ in counts], [f_idx[f] for _, f in counts]] = list(counts.values())
+    return CountTable(relation=relation, matrix=matrix, vocab=vocab, forms=forms)
 
 
 def aggregate_by_relation(records: Iterable[Pair],
@@ -279,16 +295,7 @@ def aggregate_by_relation(records: Iterable[Pair],
         if form not in lex:
             raise DataError(f"noun form {form!r} not in gender lexicon")
         counts.setdefault(rel, Counter())[(neighbor, form)] += count
-    return {
-        rel: CountTable(
-            relation=rel,
-            counts=dict(counts[rel]),
-            vocab=tuple(sorted({neighbor for neighbor, _ in counts[rel]})),
-            forms=tuple(sorted({form for _, form in counts[rel]})),
-            total=sum(counts[rel].values()),
-        )
-        for rel in Relation if rel in counts
-    }
+    return {rel: _build_table(rel, counts[rel]) for rel in Relation if rel in counts}
 
 
 def aggregate_counts(records: Iterable[Pair], relation: Relation, lex: GenderLexicon) -> CountTable:
@@ -306,14 +313,18 @@ def aggregate_counts(records: Iterable[Pair], relation: Relation, lex: GenderLex
 def write_canonical(path: str | Path, table: CountTable) -> None:
     """Write a table as sorted canonical TSV (deterministic bytes)."""
     with open(path, "w", encoding="utf-8") as fh:
-        for neighbor, form in sorted(table.counts):
-            fh.write(f"{table.relation.value}\t{form}\t{neighbor}\t{table.counts[(neighbor, form)]}\n")
+        for neighbor, form, count in table.entries():
+            fh.write(f"{table.relation.value}\t{form}\t{neighbor}\t{count}\n")
+
+
+GENDERS = (Gender.MASC, Gender.FEM)  # column order of every gender-collapsed count matrix
+
+
+def gender_onehot(forms: Iterable[str], lex: GenderLexicon) -> np.ndarray:
+    """(|forms|, 2) int64 indicator of each form's gender, columns in GENDERS order."""
+    return np.array([[lex.gender_of(form) is g for g in GENDERS] for form in forms], dtype=np.int64)
 
 
 def gender_marginals(table: CountTable, lex: GenderLexicon) -> dict[Gender, int]:
     """Total count per noun gender (reporting and PMI input)."""
-    totals = {Gender.MASC: 0, Gender.FEM: 0}
-    for (neighbor, form), count in table.counts.items():
-        totals[lex.gender_of(form)] += count
-    return totals
-
+    return dict(zip(GENDERS, (table.matrix.sum(axis=0) @ gender_onehot(table.forms, lex)).tolist()))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Gender
-from .errors import DataError
+from .errors import DataError, NumericalError
 from .lexicons import SENTIMENTS, SenseInventory, Sentiment, SentimentPrior
 from .model import FeatureSpace, ModelParams, _forward, sentiment_index
 
@@ -111,8 +111,11 @@ def permutation_test(group_a, group_b, permutations: int = 100_000, seed: int = 
     b = np.asarray(list(group_b), dtype=float)
     if a.size == 0 or b.size == 0:
         raise DataError("both groups must be non-empty")
-    observed = abs(float(a.mean()) - float(b.mean()))
     pooled = np.concatenate([a, b])
+    # max |x| * n bounds every subset sum, so no mean or statistic below can overflow
+    if not float(np.abs(pooled).max()) * pooled.size < math.inf:  # NaN fails too
+        raise DataError("group values must be finite and small enough that no sum overflows")
+    observed = abs(float(a.mean()) - float(b.mean()))
     n, n_a, n_b = pooled.size, a.size, b.size
     sum_all = float(pooled.sum())
     # Tiny slack absorbs last-ulp differences between the observed statistic
@@ -283,6 +286,8 @@ def spearman(x, y) -> float:
         raise DataError("inputs must have equal length")
     if xa.size < 3:
         raise DataError("need at least 3 observations")
+    if not (np.isfinite(xa).all() and np.isfinite(ya).all()):
+        raise DataError("inputs must be finite")
     rx = _midranks(xa)
     ry = _midranks(ya)
     dx = rx - rx.mean()
@@ -299,6 +304,8 @@ def gender_posterior(params: ModelParams, space: FeatureSpace) -> np.ndarray:
     fw = _forward(params, space.feature_matrix(params.forms))
     fem_cols = np.array([space.gender_of(form) is Gender.FEM for form in params.forms])
     fem_mass = fw.M[:, :, fem_cols].sum(axis=(1, 2))
+    if not np.all((fw.rho > 0) & (fw.rho < np.inf)):  # else fem_mass / rho is not finite
+        raise NumericalError("gender posterior is not finite: a word's joint mass is 0 or inf")
     return fem_mass / fw.rho
 
 

@@ -9,6 +9,7 @@ senses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -90,7 +91,7 @@ def load_sentiment_lexicon(path: str | Path) -> SentimentPrior:
     """Load ``word<TAB>alpha_pos<TAB>alpha_neg<TAB>alpha_neu`` concentrations.
 
     q(s | word) is the Dirichlet mean alpha_s / sum(alpha).  Concentrations
-    must be strictly positive.  Duplicate words: last row wins, counted.
+    must be positive and finite.  Duplicate words: last row wins, counted.
     """
     probs: dict[str, tuple[float, float, float]] = {}
     duplicates = 0
@@ -107,9 +108,9 @@ def load_sentiment_lexicon(path: str | Path) -> SentimentPrior:
                 alphas = [float(f) for f in fields[1:]]
             except ValueError:
                 raise DataError(f"{path}:{lineno}: non-numeric concentration for {word!r}") from None
-            if min(alphas) <= 0:
-                raise DataError(f"{path}:{lineno}: non-positive concentration for {word!r}")
             total = sum(alphas)
+            if not (min(alphas) > 0 and total < math.inf):  # NaN fails too
+                raise DataError(f"{path}:{lineno}: concentrations for {word!r} must be positive and finite")
             if word in probs:
                 duplicates += 1
             probs[word] = (alphas[0] / total, alphas[1] / total, alphas[2] / total)
@@ -138,7 +139,7 @@ def load_sense_inventory(path: str | Path, kind: SenseKind) -> SenseInventory:
     """Load ``word<TAB>sense:weight,sense:weight,...`` rows, normalizing weights.
 
     Sense names must belong to the inventory of `kind`; weights must be
-    non-negative with a positive sum.
+    finite and non-negative with a positive, finite sum.
     """
     valid = set(kind.senses)
     weights: dict[str, dict[str, float]] = {}
@@ -167,12 +168,12 @@ def load_sense_inventory(path: str | Path, kind: SenseKind) -> SenseInventory:
                     weight = float(weight_token)
                 except ValueError:
                     raise DataError(f"{path}:{lineno}: non-numeric weight in {item!r}") from None
-                if weight < 0:
-                    raise DataError(f"{path}:{lineno}: negative weight in {item!r}")
+                if not 0 <= weight < math.inf:  # NaN fails too
+                    raise DataError(f"{path}:{lineno}: weight in {item!r} must be non-negative and finite")
                 dist[name] = dist.get(name, 0.0) + weight
             total = sum(dist.values())
-            if total <= 0:
-                raise DataError(f"{path}:{lineno}: sense weights for {word!r} sum to zero")
+            if not 0 < total < math.inf:
+                raise DataError(f"{path}:{lineno}: sense weights for {word!r} sum to zero or overflow")
             if word in weights:
                 duplicates += 1
             weights[word] = {name: w / total for name, w in dist.items()}

@@ -501,15 +501,3 @@ def grid_train_average(table: CountTable, space: FeatureSpace, prior: SentimentP
         xi=np.mean([r.params.xi for r in results], axis=0),
     )
     return GridResult(params=avg, runs=runs)
-
-
-def score(params: ModelParams, space: FeatureSpace, gender: Gender,
-          sentiment: Sentiment | None, neighbor: str) -> float:
-    """Gender-projected deviation g_gender . eta(v, s); ranks neighbors.
-
-    Exponentiating this is the proportional topic score, so rankings by the
-    raw value and by its exp coincide.
-    """
-    v = params.vocab_index(neighbor)
-    s = sentiment_index(params, sentiment)
-    return float(params.eta[v, s, space.gender_index(gender)])

@@ -13,11 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import CountTable, Gender, GenderLexicon
+from .corpus import GENDERS, CountTable, Gender, GenderLexicon, gender_onehot
 from .errors import DataError, NumericalError
 from .model import _Adam, _softmax
-
-GENDERS = (Gender.MASC, Gender.FEM)
 
 
 @dataclass(frozen=True)
@@ -38,16 +36,7 @@ class GenderCollapsedTable:
 
 def collapse_by_gender(table: CountTable, lex: GenderLexicon) -> GenderCollapsedTable:
     """Sum the per-form count columns by noun gender."""
-    onehot = np.array([[lex.gender_of(form) is g for g in GENDERS] for form in table.forms],
-                      dtype=float)
-    return GenderCollapsedTable(matrix=table.count_matrix() @ onehot, vocab=table.vocab)
-
-
-def _require_both_genders(gtable: GenderCollapsedTable) -> np.ndarray:
-    counts = gtable.count_matrix()
-    if counts.sum(axis=0).min() <= 0:
-        raise DataError("both genders required in the collapsed table")
-    return counts
+    return GenderCollapsedTable(table.count_matrix() @ gender_onehot(table.forms, lex), table.vocab)
 
 
 def pmi_table(gtable: GenderCollapsedTable) -> dict[tuple[str, Gender], float]:
@@ -80,7 +69,9 @@ def restricted_train(gtable: GenderCollapsedTable, learning_rate: float = 0.2,
     exactly; convergence is declared when max |p(v|g) - p_hat(v|g)| falls
     below `saturation_tol` within `max_iterations` Adam steps.
     """
-    counts = _require_both_genders(gtable)
+    counts = gtable.count_matrix()
+    if counts.sum(axis=0).min() <= 0:
+        raise DataError("both genders required in the collapsed table")
     p_cond = counts / counts.sum(axis=0, keepdims=True)   # p_hat(v | g)
     p_joint = counts / counts.sum()                        # p_hat(v, g)
     p_g = counts.sum(axis=0) / counts.sum()

@@ -4,7 +4,9 @@ With `--trace 1`, perfbench/child.py rebinds each name in its TARGETS table:
 a module attribute, or a method found in its class's own __dict__.  child.py,
 workloads.py and the benchmark's tests also import package names and call
 them.  perfbench/ is kept fixed between benchmark changes, so a rename, a
-deletion or a changed call signature in the package has to fail here.
+deletion or a changed call signature in the package has to fail here.  The
+scripts in scripts/ have no tests of their own, so their package imports
+and calls are checked the same way.
 """
 
 import ast
@@ -14,12 +16,14 @@ from pathlib import Path
 
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-SOURCES = ("child.py", "workloads.py", "test_perfbench.py")
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = {name: ROOT / "perfbench" / name
+           for name in ("child.py", "workloads.py", "test_perfbench.py")}
+SOURCES.update((path.name, path) for path in sorted((ROOT / "scripts").glob("*.py")))
 
 
 def _tree(name: str) -> ast.Module:
-    return ast.parse((PERFBENCH / name).read_text(encoding="utf-8"))
+    return ast.parse(SOURCES[name].read_text(encoding="utf-8"))
 
 
 def _targets() -> list[tuple[str, str, str]]:
@@ -71,6 +75,7 @@ CALLS = sorted(set(_calls()))
 
 def test_sources_name_the_package():
     assert len(TARGETS) >= 20 and IMPORTS and CALLS
+    assert {"planted_bias_experiment.py", "run_toy_pipeline.py"} <= {c[0] for c in CALLS}
 
 
 @pytest.mark.parametrize("module, attr", [t[1:] for t in TARGETS], ids=[t[0] for t in TARGETS])

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from genderedlang.cli import main
@@ -145,6 +146,64 @@ def test_malformed_checkpoint_is_a_data_error(trained, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("data error: ")
 
 
+JUDGMENTS = "pretty\t2.5\nbeautiful\t2.0\ngentle\t1.0\nbrave\t-1.5\nstrong\t-2.0\nviolent\t-1.0\n"
+
+
+def _with_bad_value(path: Path, old: str, new: str) -> str:
+    """The fixture's text with its first `old` replaced by `new`."""
+    text = path.read_text()
+    assert old in text
+    return text.replace(old, new, 1)
+
+
+PERMTEST = ["report", "permtest", "--group-a", "{bad}", "--group-b", "{tmp}/b.txt"]
+SENSES = ["report", "senses", "--checkpoint", "{full}", "--inventory", "{bad}",
+          "--k", "10", "--permutations", "50"]
+SENTIMENT = ["report", "sentiment", "--checkpoint", "{collapsed}", "--sentiment-lexicon", "{bad}",
+             "--k", "10", "--permutations", "50"]
+TRAIN = ["train", "--corpus", str(DATA / "toy_corpus.tsv"), "--relation", "amod",
+         "--sentiment-lexicon", "{bad}", "--beta-grid", "1", "--max-iterations", "5"]
+CORRELATE = ["report", "correlate", "--checkpoint", "{full}", "--judgments", "{bad}",
+             "--permutations", "50"]
+NON_FINITE = {
+    "permtest_nan": ("nan\n1\n2\n", PERMTEST),
+    "permtest_inf": ("inf\n1\n2\n", PERMTEST),
+    "senses_nan": (_with_bad_value(DATA / "toy_senses_adj.tsv", "body:0.8", "body:nan"), SENSES),
+    "senses_inf": (_with_bad_value(DATA / "toy_senses_adj.tsv", "body:0.8", "body:inf"), SENSES),
+    "sentiment_nan": (_with_bad_value(DATA / "toy_sentiment.tsv", "\t8\t", "\tnan\t"), SENTIMENT),
+    "train_sentiment_nan": (_with_bad_value(DATA / "toy_sentiment.tsv", "\t8\t", "\tnan\t"), TRAIN),
+    "train_sentiment_inf": (_with_bad_value(DATA / "toy_sentiment.tsv", "\t8\t", "\tinf\t"), TRAIN),
+    "correlate_nan": (JUDGMENTS.replace("2.0", "nan"), CORRELATE),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_FINITE))
+def test_non_finite_input_is_a_data_error(trained, trained_collapsed, tmp_path, capsys, case):
+    text, argv = NON_FINITE[case]
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    (tmp_path / "b.txt").write_text("3\n4\n5\n")
+    args = [a.format(bad=bad, tmp=tmp_path, full=trained / "checkpoint_averaged.json",
+                     collapsed=trained_collapsed / "checkpoint_averaged.json") for a in argv]
+    assert main([*args, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("data error: ")
+
+
+@pytest.mark.parametrize("m0", [800.0, 1e308])
+def test_underflowing_posterior_is_a_numerical_failure(trained, tmp_path, capsys, m0):
+    doc = json.loads((trained / "checkpoint_averaged.json").read_text())
+    doc["m"][0] = m0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    (tmp_path / "j.tsv").write_text(JUDGMENTS)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["report", "correlate", "--checkpoint", str(bad), "--judgments",
+                     str(tmp_path / "j.tsv"), "--permutations", "50",
+                     "--out", str(tmp_path / "c.tsv")])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("numerical failure: ")
+
+
 class TestTrain:
     def test_outputs(self, trained):
         assert (trained / "checkpoint_alpha0.001_beta0.5.json").exists()
@@ -181,8 +240,6 @@ class TestTrain:
                      "--out", str(tmp_path), "--bogus"]) == 1
 
     def test_numerical_failure_exit_code(self, tmp_path):
-        import numpy as np
-
         with np.errstate(invalid="ignore"):
             code = main(["train", "--corpus", str(DATA / "toy_corpus.tsv"),
                          "--relation", "amod", "--learning-rate", "inf",
@@ -269,8 +326,7 @@ class TestReports:
 
     def test_correlate_schema(self, trained, tmp_path):
         judgments = tmp_path / "j.tsv"
-        judgments.write_text("pretty\t2.5\nbeautiful\t2.0\ngentle\t1.0\n"
-                             "brave\t-1.5\nstrong\t-2.0\nviolent\t-1.0\n")
+        judgments.write_text(JUDGMENTS)
         binary = tmp_path / "jb.tsv"
         binary.write_text("pretty\tf\nbeautiful\tf\nbrave\tm\nstrong\tm\n")
         out = tmp_path / "corr.tsv"
@@ -297,8 +353,6 @@ class TestReports:
         assert rows[0]["exact"] == "true"
 
     def test_prop1_rank_correlation_row(self, tmp_path):
-        import numpy as np
-
         corpus = tmp_path / "synthetic.tsv"
         rng = np.random.default_rng(13)
         with open(corpus, "w") as fh:

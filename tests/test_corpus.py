@@ -1,16 +1,18 @@
+import hashlib
 import random
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from genderedlang.corpus import (Gender, IngestStats, Number, Pair, Relation,
                                  aggregate_by_relation, aggregate_counts, gender_marginals,
                                  iter_arcs, iter_canonical, load_gender_lexicon,
-                                 parse_arcs_line)
+                                 parse_arcs_line, write_canonical)
 from genderedlang.errors import DataError, MalformedLineError
+from genderedlang.pmi import collapse_by_gender
 
 from conftest import DATA, make_table
 
@@ -164,14 +166,17 @@ class TestAggregate:
         pairs = [Pair("woman", "pretty", Relation.AMOD, 42),
                  Pair("woman", "pretty", Relation.AMOD, 8)]
         t = aggregate_counts_helper(pairs)
-        assert t.counts[("pretty", "woman")] == 50
+        assert (t.vocab, t.forms) == (("pretty",), ("woman",))
+        assert t.count_matrix().tolist() == [[50]]
 
     def test_order_invariance(self):
         rng = random.Random(5)
         pairs = [Pair("woman", f"a{i%7}", Relation.AMOD, rng.randint(1, 20)) for i in range(40)]
         shuffled = pairs[:]
         rng.shuffle(shuffled)
-        assert aggregate_counts_helper(pairs).counts == aggregate_counts_helper(shuffled).counts
+        a, b = aggregate_counts_helper(pairs), aggregate_counts_helper(shuffled)
+        assert (a.vocab, a.forms) == (b.vocab, b.forms)
+        assert np.array_equal(a.count_matrix(), b.count_matrix())
 
     def test_empty_rejected(self, lexicon):
         with pytest.raises(DataError, match="empty table"):
@@ -198,9 +203,12 @@ class TestAggregate:
                 if p.relation is relation and p.count:
                     expected[(p.neighbor, p.form)] += p.count
             if relation in tables:
-                assert tables[relation] == aggregate_counts(pairs, relation, lexicon)
-                assert tables[relation].counts == dict(expected)
-                assert tables[relation].total == sum(expected.values())
+                table, alone = tables[relation], aggregate_counts(pairs, relation, lexicon)
+                assert (table.relation, table.vocab, table.forms) == (alone.relation, alone.vocab,
+                                                                      alone.forms)
+                assert np.array_equal(table.count_matrix(), alone.count_matrix())
+                assert {(n, f): c for n, f, c in table.entries()} == dict(expected)
+                assert table.total == sum(expected.values())
             else:
                 with pytest.raises(DataError, match="empty table"):
                     aggregate_counts(pairs, relation, lexicon)
@@ -213,6 +221,44 @@ class TestAggregate:
     def test_p_hat_sums_to_one(self, lexicon, counts):
         table = make_table(counts, lex=lexicon)
         assert abs(table.p_hat().sum() - 1.0) < 1e-12
+
+    @given(st.lists(st.tuples(st.text(alphabet="abB_\u00e9", min_size=1, max_size=3),
+                              st.sampled_from(["woman", "man", "queens", "boys", "he"]),
+                              st.integers(min_value=0, max_value=10 ** 12)),
+                    min_size=1, max_size=30))
+    @settings(max_examples=50, deadline=None)
+    def test_matrix_fingerprint_and_file_match_a_sorted_counter(self, lexicon, tmp_path_factory,
+                                                               records):
+        expected = Counter()
+        for neighbor, form, count in records:
+            if count:
+                expected[(neighbor, form)] += count
+        assume(expected)
+        table = aggregate_counts([Pair(f, n, Relation.DOBJ, c) for n, f, c in records],
+                                 Relation.DOBJ, lexicon)
+        vocab = sorted({n for n, _ in expected})
+        forms = sorted({f for _, f in expected})
+        dense = [[expected[(n, f)] for f in forms] for n in vocab]
+        assert (list(table.vocab), list(table.forms)) == (vocab, forms)
+        assert table.count_matrix().dtype == np.int64
+        assert table.count_matrix().tolist() == dense
+        assert isinstance(table.total, int) and table.total == sum(expected.values())
+
+        h = hashlib.sha256(b"dobj")
+        for neighbor, form in sorted(expected):
+            h.update(f"\n{neighbor}\t{form}\t{expected[(neighbor, form)]}".encode())
+        assert table.fingerprint() == h.hexdigest()
+
+        path = tmp_path_factory.mktemp("canonical") / "dobj.tsv"
+        write_canonical(path, table)
+        assert path.read_text(encoding="utf-8") == "".join(
+            f"dobj\t{form}\t{neighbor}\t{expected[(neighbor, form)]}\n"
+            for neighbor, form in sorted(expected))
+
+    def test_total_beyond_int64_rejected(self, lexicon):
+        pairs = [Pair("woman", "a", Relation.AMOD, 2 ** 62), Pair("man", "b", Relation.AMOD, 2 ** 62)]
+        with pytest.raises(DataError, match="exceeds"):
+            aggregate_counts(pairs, Relation.AMOD, lexicon)
 
 
 def aggregate_counts_helper(pairs):
@@ -243,3 +289,11 @@ class TestGenderMarginals:
     def test_single_gender_table(self, lexicon):
         table = make_table({("a", "man"): 5, ("b", "kings"): 2}, lex=lexicon)
         assert gender_marginals(table, lexicon) == {Gender.MASC: 7, Gender.FEM: 0}
+
+    def test_ints_equal_collapsed_column_sums(self, lexicon):
+        table = aggregate_counts(iter_canonical(DATA / "table1_totals.tsv", lexicon),
+                                 Relation.AMOD, lexicon)
+        marg = gender_marginals(table, lexicon)
+        assert all(type(count) is int for count in marg.values())
+        columns = collapse_by_gender(table, lexicon).count_matrix().sum(axis=0)
+        assert [marg[Gender.MASC], marg[Gender.FEM]] == columns.tolist()

@@ -64,6 +64,22 @@ class TestTopk:
         assert first == again
 
 
+    def test_hand_set_deviation_is_reported(self, lexicon, space):
+        table = make_table({("pretty", "woman"): 5, ("stern", "man"): 5}, lex=lexicon)
+        params = init_params(table, space)
+        params.eta[params.vocab.index("pretty"), 0, space.fem_index] = 3.3
+        entries = dict(topk(params, space, Gender.FEM, POS, len(params.vocab)).entries)
+        assert entries["pretty"] == 3.3
+
+    def test_zero_eta_all_scores_zero(self, lexicon, space):
+        table = make_table({("pretty", "woman"): 5, ("stern", "man"): 5}, lex=lexicon)
+        params = init_params(table, space)
+        for g in (Gender.MASC, Gender.FEM):
+            for s in SENTIMENTS:
+                ranked = topk(params, space, g, s, len(params.vocab))
+                assert sorted(w for w, _ in ranked.entries) == sorted(params.vocab)
+                assert all(value == 0.0 for _, value in ranked.entries)
+
 class TestSenseProfile:
     def make_inventory(self, weights):
         return SenseInventory(kind=SenseKind.ADJ, weights=weights)
@@ -148,6 +164,18 @@ class TestPermutationTest:
         assert result.p_value == pytest.approx(1 / 3)
         assert not result.significant  # p < alpha must be strict
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected(self, bad):
+        with pytest.raises(DataError, match="finite"):
+            permutation_test([bad, 1.0, 2.0], [3.0, 4.0, 5.0])
+        with pytest.raises(DataError, match="finite"):
+            permutation_test([1.0, 2.0], [3.0, bad], permutations=10)
+
+    def test_overflowing_sum_rejected(self):
+        # finite values whose group mean overflows used to give statistic inf and p 0.0
+        with pytest.raises(DataError, match="no sum overflows"):
+            permutation_test([1e308, 1e308, 1.0], [0.0, 0.0, -1e308])
+
     @given(st.lists(st.floats(-10, 10), min_size=1, max_size=6),
            st.lists(st.floats(-10, 10), min_size=1, max_size=6))
     @settings(max_examples=50, deadline=None)
@@ -177,6 +205,13 @@ class TestSpearman:
     def test_too_short_rejected(self):
         with pytest.raises(DataError, match="at least 3"):
             spearman([1, 2], [2, 1])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected(self, bad):
+        with pytest.raises(DataError, match="finite"):
+            spearman([1.0, bad, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(DataError, match="finite"):
+            spearman([1.0, 2.0, 3.0, 4.0], [bad, 2.0, 3.0, 4.0])
 
     def test_matches_rank_then_pearson_oracle_on_ties(self):
         rng = np.random.default_rng(3)

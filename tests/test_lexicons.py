@@ -33,6 +33,14 @@ class TestSentimentLexicon:
         with pytest.raises(DataError, match="'weird'"):
             load_sentiment_lexicon(path)
 
+    @pytest.mark.parametrize("row", ["nan\t1\t1", "1\tinf\t1", "1\t1\t-inf",
+                                     "1e308\t1e308\t1"])
+    def test_non_finite_concentration_rejected(self, tmp_path, row):
+        path = tmp_path / "s.tsv"
+        path.write_text(f"weird\t{row}\n")
+        with pytest.raises(DataError, match="'weird'.*finite"):
+            load_sentiment_lexicon(path)
+
     def test_duplicates_last_wins_with_counter(self, tmp_path):
         path = tmp_path / "s.tsv"
         path.write_text("x\t1\t1\t1\nx\t8\t1\t1\n")
@@ -90,6 +98,15 @@ class TestSenseInventory:
         path = tmp_path / "inv.tsv"
         path.write_text("odd\tbody:0\n")
         with pytest.raises(DataError, match="sum to zero"):
+            load_sense_inventory(path, SenseKind.ADJ)
+
+    @pytest.mark.parametrize("items, message", [
+        ("body:nan", "finite"), ("body:inf,mind:1", "finite"),
+        ("body:1e308,mind:1e308", "overflow")])
+    def test_non_finite_weight_rejected(self, tmp_path, items, message):
+        path = tmp_path / "inv.tsv"
+        path.write_text(f"odd\t{items}\n")
+        with pytest.raises(DataError, match=message):
             load_sense_inventory(path, SenseKind.ADJ)
 
     def test_all_loaded_rows_are_distributions(self, toy_inventory):

@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genderedlang import model
-from genderedlang.corpus import Gender
 from genderedlang.errors import DataError, NumericalError
 from genderedlang.lexicons import SENTIMENTS, SentimentPrior
 from genderedlang.model import (TrainConfig, cond_neighbor, gradient, grid_train_average,
                                 init_params, joint_marginal, mean_posterior_kl, noun_prior,
-                                objective, score, sent_given_noun, sentiment_posterior,
+                                objective, sent_given_noun, sentiment_posterior,
                                 train)
 
 from conftest import make_table
@@ -435,30 +434,6 @@ class TestGrid:
         serial = grid_train_average(toy_table, space, toy_prior, [0.0, 1e-3], [0.1], base, jobs=1)
         threaded = grid_train_average(toy_table, space, toy_prior, [0.0, 1e-3], [0.1], base, jobs=2)
         assert np.array_equal(serial.params.eta, threaded.params.eta)
-
-
-class TestScore:
-    def test_hand_set_deviation_is_returned(self, lexicon, space):
-        table = make_table({("pretty", "woman"): 5, ("stern", "man"): 5}, lex=lexicon)
-        params = init_params(table, space)
-        params.eta[params.vocab.index("pretty"), 0, space.fem_index] = 3.3
-        assert score(params, space, Gender.FEM, POS, "pretty") == 3.3
-
-    def test_zero_eta_all_scores_zero(self, lexicon, space):
-        table = make_table({("pretty", "woman"): 5, ("stern", "man"): 5}, lex=lexicon)
-        params = init_params(table, space)
-        for word in params.vocab:
-            for g in (Gender.MASC, Gender.FEM):
-                for s in SENTIMENTS:
-                    assert score(params, space, g, s, word) == 0.0
-
-    def test_ranking_invariant_under_exp(self, lexicon, space):
-        table = make_table({(w, "woman"): 1 for w in "abcdefgh"}, lex=lexicon)
-        params = init_params(table, space)
-        rng = np.random.default_rng(10)
-        params.eta = rng.uniform(0, 3, params.eta.shape)
-        raw = [score(params, space, Gender.FEM, NEU, w) for w in params.vocab]
-        assert list(np.argsort(raw)) == list(np.argsort(np.exp(raw)))
 
 
 class TestPosteriorKl:
