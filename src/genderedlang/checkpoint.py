@@ -15,14 +15,13 @@ import numpy as np
 
 from .corpus import Gender, Number
 from .errors import DataError
-from .model import (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, WINDOW, FeatureSpace, ModelParams,
-                    TrainConfig)
+from .model import FeatureSpace, ModelParams, TrainConfig
 
 FORMAT = "genderedlang-checkpoint-v1"
 
-# Optimizer constants that v1 checkpoints record in "config" beside TrainConfig's fields.
-_FIXED = {"adam_beta1": ADAM_BETA1, "adam_beta2": ADAM_BETA2,
-          "adam_epsilon": ADAM_EPSILON, "window": WINDOW}
+# Settings of the former Adam optimizer that older v1 checkpoints carry in
+# "config"; loading accepts and ignores them.
+_RETIRED = {"learning_rate", "adam_beta1", "adam_beta2", "adam_epsilon", "window"}
 _CONFIG_KEYS = {f.name for f in fields(TrainConfig)}
 
 
@@ -76,7 +75,7 @@ def save_checkpoint(path: str | Path, params: ModelParams, space: FeatureSpace,
         "format": FORMAT,
         "relation": relation,
         "fingerprint": fingerprint,
-        "config": {**asdict(config), **_FIXED},
+        "config": asdict(config),
         "space": _space_payload(space),
         "vocab": list(params.vocab),
         "forms": list(params.forms),
@@ -109,7 +108,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
 def _from_doc(doc: dict) -> Checkpoint:
     if doc.get("format") != FORMAT:
         raise DataError(f"unrecognized checkpoint format {doc.get('format')!r}")
-    unknown = set(doc["config"]) - _CONFIG_KEYS - set(_FIXED)
+    unknown = set(doc["config"]) - _CONFIG_KEYS - _RETIRED
     if unknown:
         raise DataError(f"unknown config key(s) {', '.join(sorted(unknown))}")
     config = TrainConfig(**{key: doc["config"][key] for key in _CONFIG_KEYS})

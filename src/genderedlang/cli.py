@@ -106,7 +106,7 @@ def _load_table(corpus: str, relation: Relation, lex) -> "CountTable":
 
 
 def cmd_train(args) -> int:
-    for name in ("learning_rate", "tolerance", "max_iterations", "jobs"):
+    for name in ("tolerance", "max_iterations", "jobs"):
         _require_positive(args, name)
     lex = _load_lexicon(args)
     relation = Relation(args.relation)
@@ -125,8 +125,8 @@ def cmd_train(args) -> int:
     elif any(b > 0 for b in betas):
         raise DataError("a sentiment lexicon is required when any beta > 0")
 
-    base = TrainConfig(learning_rate=args.learning_rate, max_iterations=args.max_iterations,
-                       tolerance=args.tolerance, seed=args.seed, n_sentiments=n_sentiments)
+    base = TrainConfig(max_iterations=args.max_iterations, tolerance=args.tolerance,
+                       seed=args.seed, n_sentiments=n_sentiments)
     grid = grid_train_average(table, space, prior, alphas, betas, base, jobs=args.jobs)
 
     out = Path(args.out)
@@ -136,11 +136,14 @@ def cmd_train(args) -> int:
         tag = f"alpha{a:g}_beta{b:g}"
         ckpt.save_checkpoint(out / f"checkpoint_{tag}.json", run.params, space, run.config,
                              fingerprint, relation.value,
-                             extra={"iterations": run.iterations, "converged": run.converged})
+                             extra={"iterations": run.iterations, "converged": run.converged,
+                                    "stop_reason": run.stop_reason,
+                                    "kkt_residual": run.kkt_residual})
         _write_tsv(out / f"trace_{tag}.tsv", ["iteration", "objective"],
                    [[i, v] for i, v in enumerate(run.trace)])
         print(f"cell alpha={a:g} beta={b:g}: {run.iterations} iterations, "
-              f"objective {run.trace[-1]:.6f}, converged={run.converged}", file=sys.stderr)
+              f"objective {run.trace[-1]:.6f}, converged={run.converged} "
+              f"(stop {run.stop_reason}, KKT residual {run.kkt_residual:.3g})", file=sys.stderr)
     ckpt.save_checkpoint(out / "checkpoint_averaged.json", grid.params, space, base,
                          fingerprint, relation.value,
                          extra={"grid_alphas": alphas, "grid_betas": betas})
@@ -298,12 +301,12 @@ def cmd_report_permtest(args) -> int:
 
 
 def cmd_report_prop1(args) -> int:
-    for name in ("learning_rate", "max_iterations", "saturation_tol"):
+    for name in ("max_iterations", "saturation_tol"):
         _require_positive(args, name)
     lex = _load_lexicon(args)
     table = _load_table(args.corpus, Relation(args.relation), lex)
     gtable = collapse_by_gender(table, lex)
-    report = prop1_check(gtable, args.learning_rate, args.max_iterations, args.saturation_tol)
+    report = prop1_check(gtable, args.max_iterations, args.saturation_tol)
     rows = [[g.value, report.max_deviation[g], report.rank_correlation[g],
              report.restricted.iterations]
             for g in (Gender.MASC, Gender.FEM)]
@@ -410,9 +413,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--sentiment-lexicon", default=None)
     p.add_argument("--alpha-grid", default="0", help="comma-separated L1 weights")
     p.add_argument("--beta-grid", default=None, help="comma-separated regularizer weights")
-    p.add_argument("--learning-rate", type=float, default=0.1)
     p.add_argument("--max-iterations", type=int, default=20000)
-    p.add_argument("--tolerance", type=float, default=1e-7)
+    p.add_argument("--tolerance", type=float, default=1e-4,
+                   help="stop once the KKT residual (projected-gradient inf-norm) is this small")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--no-sentiment", action="store_true",
@@ -483,7 +486,6 @@ def _build_parser() -> _Parser:
     p = rsub.add_parser("prop1")
     p.add_argument("--corpus", required=True)
     p.add_argument("--relation", choices=[r.value for r in Relation], required=True)
-    p.add_argument("--learning-rate", type=float, default=0.2)
     p.add_argument("--max-iterations", type=int, default=50000)
     p.add_argument("--saturation-tol", type=float, default=1e-8)
     p.add_argument("--out", required=True)

@@ -123,9 +123,8 @@ class TrainConfig:
 
     alpha: float = 0.0
     beta: float = 0.0
-    learning_rate: float = 0.1
     max_iterations: int = 20000
-    tolerance: float = 1e-7
+    tolerance: float = 1e-4
     seed: int = 0
     n_sentiments: int = 3
 
@@ -347,115 +346,115 @@ class TrainResult:
     iterations: int
     converged: bool
     config: TrainConfig
+    stop_reason: str          # "tolerance" | "max_iterations" | "line_search"
+    kkt_residual: float       # inf-norm of the projected gradient at params
 
 
-# Adam's published defaults (Kingma & Ba, 2015) and the number of accepted
-# steps the convergence test looks back over.  Checkpoints record all four.
-ADAM_BETA1 = 0.9
-ADAM_BETA2 = 0.999
-ADAM_EPSILON = 1e-8
-WINDOW = 50
+# Projected L-BFGS: stored (s, y) pairs, the Armijo sufficient-decrease
+# constant, the backtracking factor and the halvings tried per direction.
+MEMORY = 5
+ARMIJO = 1e-4
+BACKTRACK = 0.5
+MAX_HALVINGS = 40
 
 
-class _Adam:
-    """Adam ascent state for one parameter array.
+def _two_loop(g: np.ndarray, pairs: list[tuple[np.ndarray, np.ndarray, float]]) -> np.ndarray:
+    """H g for the L-BFGS inverse-Hessian estimate H of the stored (s, y, 1/s.y) pairs."""
+    q, coefs = g.copy(), []
+    for s, y, rho in reversed(pairs):
+        coefs.append(rho * float(s @ q))
+        q -= coefs[-1] * y
+    if pairs:
+        s, y, _ = pairs[-1]
+        q *= float(s @ y) / float(y @ y)
+    for (s, y, rho), a in zip(pairs, reversed(coefs)):
+        q += (a - rho * float(y @ q)) * s
+    return q
 
-    step() rebinds (never mutates) the moment arrays, so a pre-step snapshot
-    of the state tuple is enough to roll a rejected step back.
+
+def _lbfgs(fun, x: np.ndarray, n_bounded: int, tol: float, max_iterations: int
+           ) -> tuple[np.ndarray, list[float], str, float]:
+    """Minimize fun over {x : x[:n_bounded] >= 0} by projected L-BFGS.
+
+    fun(x) returns (value, gradient).  Each step takes the L-BFGS direction
+    of the projected gradient, holds the coordinates at zero that the
+    gradient or the direction points below zero, and backtracks along the
+    projected path max(x + t d, 0) until the Armijo condition holds.  The
+    run stops when the projected gradient's inf-norm (the KKT residual) is
+    at most tol ("tolerance"), after max_iterations steps
+    ("max_iterations"), or when MAX_HALVINGS halvings find no sufficient
+    decrease ("line_search").  Returns the last iterate, fun's value at
+    every iterate, the stop reason and the residual.  A non-finite value
+    raises NumericalError.
     """
-
-    def __init__(self, shape: tuple[int, ...]):
-        self.mom = np.zeros(shape)
-        self.vel = np.zeros(shape)
-        self.t = 0
-
-    def step(self, x: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
-        self.t += 1
-        self.mom = ADAM_BETA1 * self.mom + (1.0 - ADAM_BETA1) * grad
-        self.vel = ADAM_BETA2 * self.vel + (1.0 - ADAM_BETA2) * grad * grad
-        mhat = self.mom / (1.0 - ADAM_BETA1 ** self.t)
-        vhat = self.vel / (1.0 - ADAM_BETA2 ** self.t)
-        return x + lr * mhat / (np.sqrt(vhat) + ADAM_EPSILON)
-
-    def snapshot(self) -> tuple:
-        return (self.mom, self.vel, self.t)
-
-    def restore(self, state: tuple) -> None:
-        self.mom, self.vel, self.t = state
+    lower = np.where(np.arange(x.size) < n_bounded, 0.0, -np.inf)
+    f, g = fun(x)
+    values, pairs = [f], []
+    while np.isfinite(f):
+        pinned = x <= lower
+        pg = np.where(pinned & (g > 0), 0.0, g)
+        residual = float(np.abs(pg).max())
+        if residual <= tol:
+            return x, values, "tolerance", residual
+        if len(values) > max_iterations:
+            return x, values, "max_iterations", residual
+        d = -_two_loop(pg, pairs)
+        d[pinned & ((g > 0) | (d < 0))] = 0.0
+        if float(d @ pg) >= 0:  # not a descent direction: restart from steepest descent
+            pairs, d = [], -pg
+        t = 1.0
+        for _ in range(MAX_HALVINGS):
+            x_new = np.maximum(x + t * d, lower)
+            s = x_new - x
+            f_new, g_new = fun(x_new)
+            if f_new <= f + ARMIJO * float(g @ s) or not np.isfinite(f_new):
+                break
+            t *= BACKTRACK
+        else:
+            return x, values, "line_search", residual
+        y = g_new - g
+        if float(s @ y) > 0:
+            pairs = [*pairs, (s, y, 1.0 / float(s @ y))][-MEMORY:]
+        x, f, g = x_new, f_new, g_new
+        values.append(f)
+    raise NumericalError(f"objective not finite at iterate {len(values) - 1}")
 
 
 def train(table: CountTable, space: FeatureSpace, prior: SentimentPrior | None,
           config: TrainConfig) -> TrainResult:
-    """Adam ascent on the objective with eta projected to [0, inf) each step.
+    """Maximize the objective over (eta >= 0, omega, xi) by projected L-BFGS.
 
-    Steps that measurably decrease the objective are rejected (Adam state
-    rolled back) and the learning rate is halved, so the trace of accepted
-    objective values has a monotone tail; the rate is also halved when a
-    full window passes without relative progress.  The run stops once the
-    windowed relative change falls below the tolerance, the rate anneals
-    away, or the iteration cap is reached; only the first of these sets
-    `converged`.  Identical inputs give bitwise-identical parameters.
+    The run starts from init_params and stops once the KKT residual, the
+    inf-norm of the projected gradient, is at most the tolerance; only that
+    stop sets `converged`.  The trace holds the objective at every iterate.
+    Identical inputs give bitwise-identical parameters.
     """
     _check_regularizer_inputs(prior, config)
     params = init_params(table, space, config.n_sentiments)
     p_hat = table.p_hat()
     q, mask = prior_arrays(prior if config.beta > 0 else None, params.vocab)
+    F = space.feature_matrix(params.forms)
+    n_eta, n_omega = params.eta.size, params.omega.size
 
-    adam_eta = _Adam(params.eta.shape)
-    adam_omega = _Adam(params.omega.shape)
-    adam_xi = _Adam(params.xi.shape)
+    def unpack(x: np.ndarray) -> ModelParams:
+        return ModelParams(params.vocab, params.forms, params.m,
+                           x[:n_eta].reshape(params.eta.shape),
+                           x[n_eta:n_eta + n_omega].reshape(params.omega.shape),
+                           x[n_eta + n_omega:])
 
-    fw = _forward(params, space.feature_matrix(params.forms))
-    value = _objective_from(fw, p_hat, params.eta, q, mask, config.alpha, config.beta)
-    if not np.isfinite(value):
-        raise NumericalError(f"objective not finite at initialization: {value!r}")
-    trace: list[float] = [value]
-    lr = config.learning_rate
-    converged = False
-    plateau_rel = 200.0 * config.tolerance
-    last_halve = 0
-    accepted = 0
+    def negated(x: np.ndarray) -> tuple[float, np.ndarray]:
+        candidate = unpack(x)
+        fw = _forward(candidate, F)
+        value = _objective_from(fw, p_hat, candidate.eta, q, mask, config.alpha, config.beta)
+        grads = _gradient_from(fw, p_hat, q, mask, config.alpha, config.beta)
+        return -value, -np.concatenate([g.ravel() for g in grads])
 
-    while accepted < config.max_iterations:
-        snapshots = (adam_eta.snapshot(), adam_omega.snapshot(), adam_xi.snapshot())
-        g_eta, g_omega, g_xi = _gradient_from(fw, p_hat, q, mask, config.alpha, config.beta)
-        eta_new = np.maximum(adam_eta.step(params.eta, g_eta, lr), 0.0)
-        omega_new = adam_omega.step(params.omega, g_omega, lr)
-        xi_new = adam_xi.step(params.xi, g_xi, lr)
-        candidate = ModelParams(params.vocab, params.forms, params.m, eta_new, omega_new, xi_new)
-        fw_new = _forward(candidate, fw.F)
-        value_new = _objective_from(fw_new, p_hat, eta_new, q, mask, config.alpha, config.beta)
-        if not np.isfinite(value_new):
-            raise NumericalError(f"objective diverged to {value_new!r} after {accepted} iterations")
-
-        reject_slack = min(config.tolerance * (1.0 + abs(value)), 2.5e-7)
-        if value_new < value - reject_slack:
-            adam_eta.restore(snapshots[0])
-            adam_omega.restore(snapshots[1])
-            adam_xi.restore(snapshots[2])
-            lr *= 0.5
-            if lr < 1e-12:
-                break
-            continue
-
-        params, fw, value = candidate, fw_new, value_new
-        accepted += 1
-        trace.append(value)
-        if accepted > WINDOW:
-            prev = trace[accepted - WINDOW]
-            delta = value - prev
-            scale = 1.0 + abs(prev)
-            if abs(delta) < config.tolerance * scale:
-                converged = True
-                break
-            if delta < plateau_rel * scale and accepted - last_halve >= WINDOW:
-                lr *= 0.5
-                last_halve = accepted
-                if lr < 1e-12:
-                    break
-
-    return TrainResult(params=params, trace=trace, iterations=accepted,
-                       converged=converged, config=config)
+    x0 = np.concatenate([params.eta.ravel(), params.omega.ravel(), params.xi.ravel()])
+    x, values, reason, residual = _lbfgs(negated, x0, n_eta, config.tolerance,
+                                         config.max_iterations)
+    return TrainResult(params=unpack(x), trace=[-v for v in values], iterations=len(values) - 1,
+                       converged=reason == "tolerance", config=config, stop_reason=reason,
+                       kkt_residual=residual)
 
 
 @dataclass

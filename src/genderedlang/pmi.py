@@ -15,7 +15,7 @@ import numpy as np
 
 from .corpus import GENDERS, CountTable, Gender, GenderLexicon, gender_onehot
 from .errors import DataError, NumericalError
-from .model import _Adam, _softmax
+from .model import _lbfgs
 
 
 @dataclass(frozen=True)
@@ -59,50 +59,39 @@ class RestrictedResult:
     converged: bool
 
 
-def restricted_train(gtable: GenderCollapsedTable, learning_rate: float = 0.2,
-                     max_iterations: int = 50000, saturation_tol: float = 1e-8
-                     ) -> RestrictedResult:
-    """Fit the sentiment-free, gender-only model to saturation by Adam.
+def restricted_train(gtable: GenderCollapsedTable, max_iterations: int = 50000,
+                     saturation_tol: float = 1e-8) -> RestrictedResult:
+    """Fit the sentiment-free, gender-only model to saturation by L-BFGS.
 
-    The MLE must be unconstrained (no non-negativity projection, no
-    regularizers) for the saturated fit to reach the empirical conditional
-    exactly; convergence is declared when max |p(v|g) - p_hat(v|g)| falls
-    below `saturation_tol` within `max_iterations` Adam steps.
+    The fit maximizes sum_g sum_v p_hat(v|g) log p(v|g) with no bounds and
+    no regularizers, so its optimum reproduces the empirical conditional
+    exactly.  The gradient is p_hat(v|g) - p(v|g), so the optimizer's KKT
+    residual is the saturation deviation max |p(v|g) - p_hat(v|g)|; a fit
+    that does not bring it to `saturation_tol` within `max_iterations`
+    steps is a numerical failure.
     """
     counts = gtable.count_matrix()
     if counts.sum(axis=0).min() <= 0:
         raise DataError("both genders required in the collapsed table")
+    if counts.sum(axis=1).min() <= 0:
+        raise DataError("every neighbor needs a positive count in the collapsed table")
     p_cond = counts / counts.sum(axis=0, keepdims=True)   # p_hat(v | g)
-    p_joint = counts / counts.sum()                        # p_hat(v, g)
-    p_g = counts.sum(axis=0) / counts.sum()
-    m = np.log(counts.sum(axis=1) / counts.sum())
+    m = np.log(counts.sum(axis=1) / counts.sum())[:, None]
 
-    eta = np.zeros_like(p_cond)
-    adam = _Adam(eta.shape)
-    lr = learning_rate
-    check_every = 50
-    best = np.inf
-    iterations = 0
-    for t in range(1, max_iterations + 1):
-        iterations = t
-        A = _softmax(m[:, None] + eta, axis=0)
-        grad = p_joint - p_g[None, :] * A
-        eta = adam.step(eta, grad, lr)
-        if t % check_every == 0:
-            dev = float(np.abs(_softmax(m[:, None] + eta, axis=0) - p_cond).max())
-            if not math.isfinite(dev):
-                raise NumericalError("restricted MLE diverged")
-            if dev <= saturation_tol:
-                return RestrictedResult(eta=eta, iterations=t, max_deviation=dev, converged=True)
-            if dev > 0.995 * best:
-                lr *= 0.5
-            best = min(best, dev)
-    dev = float(np.abs(_softmax(m[:, None] + eta, axis=0) - p_cond).max())
-    if dev <= saturation_tol:
-        return RestrictedResult(eta=eta, iterations=iterations, max_deviation=dev, converged=True)
-    raise NumericalError(
-        f"restricted MLE did not reach saturation tol {saturation_tol:g} "
-        f"in {max_iterations} iterations (max deviation {dev:.3g})")
+    def negated(x: np.ndarray) -> tuple[float, np.ndarray]:
+        z = m + x.reshape(p_cond.shape)
+        z = z - z.max(axis=0)
+        log_p = z - np.log(np.exp(z).sum(axis=0))
+        return -float((p_cond * log_p).sum()), (np.exp(log_p) - p_cond).ravel()
+
+    x, values, reason, dev = _lbfgs(negated, np.zeros(p_cond.size), 0, saturation_tol,
+                                    max_iterations)
+    if reason != "tolerance":
+        raise NumericalError(
+            f"restricted MLE did not reach saturation tol {saturation_tol:g} "
+            f"in {len(values) - 1} iterations (stop: {reason}, max deviation {dev:.3g})")
+    return RestrictedResult(eta=x.reshape(p_cond.shape), iterations=len(values) - 1,
+                            max_deviation=dev, converged=True)
 
 
 @dataclass
@@ -125,10 +114,10 @@ def _rank_correlation(x: np.ndarray, y: np.ndarray) -> float:
     return spearman(x, y)
 
 
-def prop1_check(gtable: GenderCollapsedTable, learning_rate: float = 0.2,
-                max_iterations: int = 50000, saturation_tol: float = 1e-8) -> Prop1Report:
+def prop1_check(gtable: GenderCollapsedTable, max_iterations: int = 50000,
+                saturation_tol: float = 1e-8) -> Prop1Report:
     """Compare the restricted model's normalized scores to normalized exp(PMI)."""
-    result = restricted_train(gtable, learning_rate, max_iterations, saturation_tol)
+    result = restricted_train(gtable, max_iterations, saturation_tol)
     counts = gtable.count_matrix()
     total = counts.sum()
     p_v = counts.sum(axis=1) / total

@@ -59,8 +59,7 @@ def test_criterion_1_prop1_oracle():
     start = time.monotonic()
     for seed in range(20):
         gtable = random_collapsed_table(seed)
-        report = prop1_check(gtable, learning_rate=0.2, max_iterations=50000,
-                             saturation_tol=1e-9)
+        report = prop1_check(gtable, max_iterations=50000, saturation_tol=1e-9)
         assert report.restricted.converged
         for g in (Gender.MASC, Gender.FEM):
             assert report.rank_correlation[g] == 1.0, f"seed {seed}, {g}"

@@ -173,9 +173,15 @@ def test_top_level_list_is_a_data_error(tmp_path):
         load_checkpoint(path)
 
 
-def test_v1_optimizer_constants_are_written(toy_table, space, tmp_path):
+def test_retired_optimizer_keys_load_and_are_ignored(toy_table, space, tmp_path):
+    # Checkpoints written by the former Adam optimizer carry its settings in "config".
     path = tmp_path / "ckpt.json"
-    save_checkpoint(path, random_params(toy_table, space), space, TrainConfig(), "fp", "amod")
-    config = json.loads(path.read_text())["config"]
-    assert {k: config[k] for k in ("adam_beta1", "adam_beta2", "adam_epsilon", "window")} == {
-        "adam_beta1": 0.9, "adam_beta2": 0.999, "adam_epsilon": 1e-8, "window": 50}
+    config = TrainConfig(alpha=1e-3, beta=0.5)
+    save_checkpoint(path, random_params(toy_table, space), space, config, "fp", "amod")
+    doc = json.loads(path.read_text())
+    assert not {"learning_rate", "adam_beta1", "adam_beta2", "adam_epsilon",
+                "window"} & doc["config"].keys()
+    doc["config"].update(learning_rate=0.1, adam_beta1=0.9, adam_beta2=0.999,
+                         adam_epsilon=1e-8, window=50)
+    path.write_text(json.dumps(doc))
+    assert load_checkpoint(path).config == config

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from genderedlang import model
 from genderedlang.cli import main
 
 from conftest import DATA
@@ -117,10 +118,10 @@ COMMANDS = {
 }
 REALS, INTS = ["0", "-1", "nan"], ["0", "-1"]
 BAD_FLAGS = [(command, flag, value) for command, flag, values in [
-    ("train", "--learning-rate", REALS), ("train", "--tolerance", REALS),
+    ("train", "--tolerance", REALS),
     ("train", "--max-iterations", INTS), ("train", "--jobs", INTS),
     ("train", "--alpha-grid", ["nan"]), ("train", "--beta-grid", ["nan"]),
-    ("prop1", "--learning-rate", REALS), ("prop1", "--max-iterations", INTS),
+    ("prop1", "--max-iterations", INTS),
     ("prop1", "--saturation-tol", REALS),
     ("synth", "--n-pairs", ["0", "-5"]), ("synth", "--planted-body-fem", ["nan", "-0.1", "0.95"]),
     ("permtest", "--alpha", ["0", "-1", "nan", "1", "5"]),
@@ -209,6 +210,19 @@ class TestTrain:
         assert (trained / "checkpoint_alpha0.001_beta0.5.json").exists()
         assert (trained / "checkpoint_averaged.json").exists()
         assert (trained / "trace_alpha0.001_beta0.5.tsv").exists()
+        extra = json.loads((trained / "checkpoint_alpha0.001_beta0.5.json").read_text())["extra"]
+        assert extra["converged"] is True and extra["stop_reason"] == "tolerance"
+        assert 0 < extra["kkt_residual"] <= 1e-4
+
+    def test_iteration_cap_is_recorded(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["train", "--corpus", str(DATA / "toy_corpus.tsv"), "--relation", "amod",
+                     "--alpha-grid", "0.001", "--max-iterations", "3", "--out", str(out)]) == 0
+        extra = json.loads((out / "checkpoint_alpha0.001_beta0.json").read_text())["extra"]
+        assert extra["iterations"] == 3 and extra["converged"] is False
+        assert extra["stop_reason"] == "max_iterations" and extra["kkt_residual"] > 1e-4
+        err = capsys.readouterr().err
+        assert "converged=False (stop max_iterations, KKT residual " in err
 
     def test_byte_identical_reruns(self, tmp_path):
         outs = []
@@ -239,12 +253,11 @@ class TestTrain:
         assert main(["train", "--corpus", "x", "--relation", "amod",
                      "--out", str(tmp_path), "--bogus"]) == 1
 
-    def test_numerical_failure_exit_code(self, tmp_path):
-        with np.errstate(invalid="ignore"):
-            code = main(["train", "--corpus", str(DATA / "toy_corpus.tsv"),
-                         "--relation", "amod", "--learning-rate", "inf",
-                         "--max-iterations", "5", "--alpha-grid", "0.01",
-                         "--out", str(tmp_path / "o")])
+    def test_numerical_failure_exit_code(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(model, "_objective_from", lambda *args: float("nan"))
+        code = main(["train", "--corpus", str(DATA / "toy_corpus.tsv"),
+                     "--relation", "amod", "--max-iterations", "5", "--alpha-grid", "0.01",
+                     "--out", str(tmp_path / "o")])
         assert code == 3
 
     def test_config_file_with_flag_override(self, tmp_path):

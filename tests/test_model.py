@@ -368,20 +368,42 @@ class TestTrain:
         tail = result.trace[-max(2, len(result.trace) // 10):]
         assert all(b >= a - 1e-6 for a, b in zip(tail, tail[1:]))
 
-    def test_divergence_aborts(self, toy_table, space):
-        with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
-            train(toy_table, space, None, TrainConfig(learning_rate=float("inf"),
-                                                      max_iterations=10))
+    def test_divergence_aborts(self, toy_table, space, monkeypatch):
+        # The start is finite; the first trial point's objective is not.
+        values = iter([0.0])
+        monkeypatch.setattr(model, "_objective_from", lambda *args: next(values, float("nan")))
+        with pytest.raises(NumericalError, match="not finite at iterate 1"):
+            train(toy_table, space, None, TrainConfig(max_iterations=10))
 
-    def test_learning_rate_floor_is_not_convergence(self, toy_table, space, monkeypatch):
-        # Every candidate scores below the start, so each step is rejected
-        # and the rate halves until it falls under the 1e-12 floor.
+    def test_line_search_failure_is_not_convergence(self, toy_table, space, monkeypatch):
+        # Every trial point scores below the start, so backtracking finds no
+        # sufficient increase along the first direction.
         values = iter([0.0])
         monkeypatch.setattr(model, "_objective_from", lambda *args: next(values, -1.0))
         result = train(toy_table, space, None, TrainConfig())
         assert result.iterations == 0
         assert result.trace == [0.0]
         assert not result.converged
+        assert result.stop_reason == "line_search"
+
+    def test_iteration_cap_is_not_convergence(self, toy_table, space, toy_prior):
+        result = train(toy_table, space, toy_prior, TrainConfig(beta=0.5, max_iterations=3))
+        assert result.iterations == 3 and len(result.trace) == 4
+        assert result.stop_reason == "max_iterations" and not result.converged
+        assert result.kkt_residual > result.config.tolerance
+
+    @pytest.mark.parametrize("alpha, beta", [(0.0, 0.0), (1e-3, 0.5), (0.01, 0.1)])
+    def test_converged_means_kkt_residual_within_tolerance(self, toy_table, space, toy_prior,
+                                                           alpha, beta):
+        config = TrainConfig(alpha=alpha, beta=beta)
+        result = train(toy_table, space, toy_prior, config)
+        assert result.converged and result.stop_reason == "tolerance"
+        g_eta, g_omega, g_xi = gradient(result.params, space, toy_table, toy_prior, config)
+        # At eta = 0 only an increase is feasible, so a negative slope there is no violation.
+        g_eta = np.where((result.params.eta <= 0) & (g_eta < 0), 0.0, g_eta)
+        residual = max(float(np.abs(g).max()) for g in (g_eta, g_omega, g_xi))
+        assert residual <= config.tolerance
+        assert residual == result.kkt_residual
 
     def test_beta_without_prior_rejected(self, toy_table, space):
         with pytest.raises(DataError, match="sentiment lexicon"):
@@ -423,10 +445,10 @@ class TestGrid:
         manual = np.mean([grid.runs[(a, b)].params.eta for a in alphas for b in betas], axis=0)
         assert np.array_equal(grid.params.eta, manual)
 
-    def test_failing_cell_names_pair(self, toy_table, space, toy_prior):
-        base = TrainConfig(learning_rate=float("inf"), max_iterations=5)
-        with np.errstate(invalid="ignore"), pytest.raises(NumericalError,
-                                                          match=r"alpha=0.001, beta=0.5"):
+    def test_failing_cell_names_pair(self, toy_table, space, toy_prior, monkeypatch):
+        monkeypatch.setattr(model, "_objective_from", lambda *args: float("nan"))
+        base = TrainConfig(max_iterations=5)
+        with pytest.raises(NumericalError, match=r"alpha=0.001, beta=0.5"):
             grid_train_average(toy_table, space, toy_prior, [1e-3], [0.5], base)
 
     def test_jobs_do_not_change_result(self, toy_table, space, toy_prior):

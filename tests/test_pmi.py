@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genderedlang.corpus import Gender
-from genderedlang.errors import DataError
+from genderedlang.errors import DataError, NumericalError
 from genderedlang.pmi import (GENDERS, GenderCollapsedTable, collapse_by_gender, pmi_table,
                               prop1_check, restricted_train)
 
@@ -90,19 +90,46 @@ class TestRestrictedTrain:
             counts[(f"w{i:02d}", Gender.MASC)] = int(rng.integers(1, 400))
             counts[(f"w{i:02d}", Gender.FEM)] = int(rng.integers(1, 400))
         t = gtable(counts)
-        result = restricted_train(t, learning_rate=0.2, saturation_tol=1e-7)
+        result = restricted_train(t, saturation_tol=1e-7)
         assert result.converged
         assert result.max_deviation <= 1e-7
+
+    def test_zero_cells_saturate(self):
+        # 20 of 400 cells are zero: a neighbor seen with one gender only.  The
+        # fit drives those cells' p(v|g) toward 0, so eta there heads to -inf.
+        rng = np.random.default_rng(1)
+        counts = rng.integers(1, 200, size=(200, 2))
+        rows = rng.choice(200, size=20, replace=False)
+        counts[rows, rows % 2] = 0
+        t = GenderCollapsedTable(matrix=counts, vocab=tuple(f"w{i:03d}" for i in range(200)))
+        result = restricted_train(t, saturation_tol=1e-8)
+        assert result.converged
+        assert result.max_deviation <= 1e-8
+        p_cond = counts / counts.sum(axis=0)
+        z = np.log(counts.sum(axis=1) / counts.sum())[:, None] + result.eta
+        p = np.exp(z - z.max(axis=0))
+        assert np.abs(p / p.sum(axis=0) - p_cond).max() == pytest.approx(result.max_deviation,
+                                                                 rel=1e-6)
+
+    def test_iteration_cap_is_a_numerical_failure(self):
+        with pytest.raises(NumericalError, match="in 3 iterations .stop: max_iterations"):
+            restricted_train(gtable(SYMMETRIC), max_iterations=3, saturation_tol=1e-12)
 
     def test_single_gender_rejected(self):
         t = gtable({("a", Gender.MASC): 5, ("b", Gender.MASC): 3})
         with pytest.raises(DataError, match="both genders required"):
             restricted_train(t)
 
+    def test_neighbor_without_counts_rejected(self):
+        t = gtable({("a", Gender.MASC): 5, ("a", Gender.FEM): 3, ("b", Gender.MASC): 0,
+                    ("b", Gender.FEM): 0})
+        with pytest.raises(DataError, match="positive count"):
+            restricted_train(t)
+
 
 class TestProp1:
     def test_two_by_two_hand_values(self):
-        report = prop1_check(gtable(SYMMETRIC), learning_rate=0.2, saturation_tol=1e-10)
+        report = prop1_check(gtable(SYMMETRIC), saturation_tol=1e-10)
         # normalized tau_M = (0.75, 0.25) = normalized exp(PMI) = (1.5, 0.5)/2
         counts = gtable(SYMMETRIC).count_matrix()
         eta = report.restricted.eta
@@ -118,7 +145,7 @@ class TestProp1:
         for i in range(50):
             counts[(f"w{i:02d}", Gender.MASC)] = int(rng.integers(1, 1001))
             counts[(f"w{i:02d}", Gender.FEM)] = int(rng.integers(1, 1001))
-        report = prop1_check(gtable(counts), learning_rate=0.2, saturation_tol=1e-9)
+        report = prop1_check(gtable(counts), saturation_tol=1e-9)
         for g in (Gender.MASC, Gender.FEM):
             assert report.max_deviation[g] <= 1e-3
             assert report.rank_correlation[g] == 1.0
