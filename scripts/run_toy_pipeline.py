@@ -38,7 +38,7 @@ def main():
     run(["train", "--corpus", str(ingest / "amod.tsv"), "--relation", "amod",
          "--sentiment-lexicon", str(synth / "sentiment_lexicon.tsv"),
          "--alpha-grid", "0,0.001", "--beta-grid", "0.1,1",
-         "--max-iterations", "1000", "--seed", str(args.seed), "--out", str(train)])
+         "--max-iterations", "1000", "--out", str(train)])
 
     ckpt = str(train / "checkpoint_averaged.json")
     run(["report", "topk", "--checkpoint", ckpt, "--k", "25",

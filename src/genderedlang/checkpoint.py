@@ -13,15 +13,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Gender, Number
+from .corpus import Gender, GenderLexicon, LexiconEntry, Number
 from .errors import DataError
 from .model import FeatureSpace, ModelParams, TrainConfig
 
 FORMAT = "genderedlang-checkpoint-v1"
 
-# Settings of the former Adam optimizer that older v1 checkpoints carry in
-# "config"; loading accepts and ignores them.
-_RETIRED = {"learning_rate", "adam_beta1", "adam_beta2", "adam_epsilon", "window"}
+# Settings that older v1 checkpoints carry in "config" and nothing reads any
+# more: the former Adam optimizer's and the training seed.  Loading accepts
+# and ignores them.
+_RETIRED = {"learning_rate", "adam_beta1", "adam_beta2", "adam_epsilon", "window", "seed"}
 _CONFIG_KEYS = {f.name for f in fields(TrainConfig)}
 
 
@@ -43,29 +44,19 @@ def _eta_triplets(eta: np.ndarray) -> list[list]:
 
 
 def _space_payload(space: FeatureSpace) -> dict:
-    n = len(space.lemmas)
-    forms = {}
-    for form, (lemma_pos, gender_pos, number_pos) in space.form_bits.items():
-        forms[form] = [
-            space.lemmas[lemma_pos],
-            Gender.MASC.value if gender_pos == n else Gender.FEM.value,
-            Number.SG.value if number_pos == n + 2 else Number.PL.value,
-        ]
+    forms = {form: [entry.lemma, entry.gender.value, entry.number.value]
+             for form, entry in space.entries.items()}
     return {"lemmas": list(space.lemmas), "forms": forms}
 
 
 def _space_from_payload(payload: dict) -> FeatureSpace:
     lemmas = tuple(payload["lemmas"])
-    lemma_pos = {lemma: i for i, lemma in enumerate(lemmas)}
-    n = len(lemmas)
-    bits = {}
-    for form, (lemma, gender, number) in payload["forms"].items():
-        bits[form] = (
-            lemma_pos[lemma],
-            n + (0 if Gender(gender) is Gender.MASC else 1),
-            n + 2 + (0 if Number(number) is Number.SG else 1),
-        )
-    return FeatureSpace(lemmas=lemmas, form_bits=bits)
+    entries = {form: LexiconEntry(lemma, Gender(gender), Number(number))
+               for form, (lemma, gender, number) in payload["forms"].items()}
+    space = FeatureSpace.from_lexicon(GenderLexicon(entries=entries, lemmas=lemmas))
+    if space.lemmas != lemmas:
+        raise DataError("space lemmas must be sorted and distinct")
+    return space
 
 
 def save_checkpoint(path: str | Path, params: ModelParams, space: FeatureSpace,

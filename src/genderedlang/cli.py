@@ -43,6 +43,9 @@ def _parse_grid(token: str) -> list[float]:
         raise UsageError("grids must be non-empty")
     if not all(v >= 0 for v in values):  # NaN fails too
         raise UsageError("grid values must be non-negative")
+    tags = [f"{v:g}" for v in values]  # cell files are named by these tags
+    if len(set(tags)) < len(tags):
+        raise UsageError(f"bad grid {token!r}: values must differ within 6 significant digits")
     return values
 
 
@@ -126,7 +129,7 @@ def cmd_train(args) -> int:
         raise DataError("a sentiment lexicon is required when any beta > 0")
 
     base = TrainConfig(max_iterations=args.max_iterations, tolerance=args.tolerance,
-                       seed=args.seed, n_sentiments=n_sentiments)
+                       n_sentiments=n_sentiments)
     grid = grid_train_average(table, space, prior, alphas, betas, base, jobs=args.jobs)
 
     out = Path(args.out)
@@ -416,7 +419,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-iterations", type=int, default=20000)
     p.add_argument("--tolerance", type=float, default=1e-4,
                    help="stop once the KKT residual (projected-gradient inf-norm) is this small")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--no-sentiment", action="store_true",
                    help="collapse sentiments (S=1) and disable the regularizer")

@@ -44,33 +44,6 @@ def topk(params: ModelParams, space: FeatureSpace, gender: Gender,
     return RankedList(gender=gender, sentiment=sentiment, entries=entries, k=k)
 
 
-@dataclass(frozen=True)
-class SenseProfile:
-    """Mean sense distribution over the list entries found in the inventory."""
-
-    frequencies: dict[str, float]
-    coverage: float
-    covered: int
-
-
-def sense_profile(ranked: RankedList, inventory: SenseInventory) -> SenseProfile:
-    if not ranked.entries:
-        raise DataError("empty ranked list")
-    vectors = []
-    for word, _score in ranked.entries:
-        dist = inventory.get(word)
-        if dist is not None:
-            vectors.append([dist.get(sense, 0.0) for sense in inventory.kind.senses])
-    if not vectors:
-        raise DataError("no entries in inventory")
-    mean = np.mean(np.asarray(vectors), axis=0)
-    return SenseProfile(
-        frequencies={sense: float(v) for sense, v in zip(inventory.kind.senses, mean)},
-        coverage=len(vectors) / len(ranked.entries),
-        covered=len(vectors),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Permutation testing
 

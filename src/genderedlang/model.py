@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import CountTable, Gender, GenderLexicon, Number
+from .corpus import CountTable, Gender, GenderLexicon, LexiconEntry, Number
 from .errors import DataError, NumericalError
 from .lexicons import SENTIMENTS, Sentiment, SentimentPrior
 
@@ -28,11 +28,12 @@ class FeatureSpace:
     """Ordered lexical feature basis: lemmas, then MASC/FEM, then SG/PL."""
 
     lemmas: tuple[str, ...]
+    entries: dict[str, LexiconEntry]            # form -> (lemma, gender, number)
     form_bits: dict[str, tuple[int, int, int]]  # form -> feature positions
 
     @classmethod
     def from_lexicon(cls, lex: GenderLexicon) -> "FeatureSpace":
-        lemmas = tuple(sorted(lex.lemmas))
+        lemmas = tuple(sorted(set(lex.lemmas)))
         lemma_pos = {lemma: i for i, lemma in enumerate(lemmas)}
         size = len(lemmas)
         bits = {}
@@ -40,7 +41,7 @@ class FeatureSpace:
             gender_pos = size + (0 if entry.gender is Gender.MASC else 1)
             number_pos = size + 2 + (0 if entry.number is Number.SG else 1)
             bits[form] = (lemma_pos[entry.lemma], gender_pos, number_pos)
-        return cls(lemmas=lemmas, form_bits=bits)
+        return cls(lemmas=lemmas, entries=lex.entries, form_bits=bits)
 
     @property
     def dim(self) -> int:
@@ -100,32 +101,19 @@ class ModelParams:
         except ValueError:
             raise DataError(f"neighbor {neighbor!r} not in model vocabulary") from None
 
-    def form_index(self, form: str) -> int:
-        try:
-            return self.forms.index(form)
-        except ValueError:
-            raise DataError(f"noun form {form!r} not in model") from None
-
-    def copy(self) -> "ModelParams":
-        return ModelParams(self.vocab, self.forms, self.m.copy(), self.eta.copy(),
-                           self.omega.copy(), self.xi.copy())
-
 
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters for one training run.
 
     alpha weighs the L1 penalty on eta, beta the posterior regularizer.
-    Training is deterministic given (data, config): the seed is recorded for
-    provenance and fanned out to downstream resampling, not used by the
-    optimizer itself.
+    Training is deterministic given (data, config).
     """
 
     alpha: float = 0.0
     beta: float = 0.0
     max_iterations: int = 20000
     tolerance: float = 1e-4
-    seed: int = 0
     n_sentiments: int = 3
 
     def __post_init__(self) -> None:
@@ -217,38 +205,9 @@ def init_params(table: CountTable, space: FeatureSpace, n_sentiments: int = 3) -
     )
 
 
-def cond_neighbor(params: ModelParams, space: FeatureSpace, form: str,
-                  sentiment: Sentiment | None = None) -> np.ndarray:
-    """p(v | s, n) = softmax over V of m_v + f_n . eta(v, s).
-
-    f_n has exactly three active bits, so the dot product is the sum of the
-    three eta columns the form's lemma, gender and number select.
-    """
-    s = sentiment_index(params, sentiment)
-    scores = params.m + params.eta[:, s, list(space._bits(form))].sum(axis=1)
-    return _softmax(scores, axis=-1)
-
-
-def sent_given_noun(params: ModelParams, form: str) -> np.ndarray:
-    """p(s | n) = softmax of the noun form's omega row."""
-    return _softmax(params.omega[params.form_index(form)], axis=-1)
-
-
-def noun_prior(params: ModelParams) -> np.ndarray:
-    """p(n) = softmax(xi)."""
-    return _softmax(params.xi, axis=-1)
-
-
 def joint_marginal(params: ModelParams, space: FeatureSpace) -> np.ndarray:
     """Sentiment-marginalized joint p(v, n), shape (|V|, |G|); sums to 1."""
     return _forward(params, space.feature_matrix(params.forms)).J
-
-
-def sentiment_posterior(params: ModelParams, space: FeatureSpace, neighbor: str) -> np.ndarray:
-    """p(s | v): the model's sentiment posterior for one neighbor."""
-    fw = _forward(params, space.feature_matrix(params.forms))
-    v = params.vocab_index(neighbor)
-    return fw.N[v] / fw.rho[v]
 
 
 # ---------------------------------------------------------------------------
@@ -323,16 +282,6 @@ def gradient(params: ModelParams, space: FeatureSpace, table: CountTable,
     fw = _forward(params, space.feature_matrix(params.forms))
     q, mask = prior_arrays(prior if config.beta > 0 else None, params.vocab)
     return _gradient_from(fw, table.p_hat(), q, mask, config.alpha, config.beta)
-
-
-def mean_posterior_kl(params: ModelParams, space: FeatureSpace, prior: SentimentPrior) -> float:
-    """Mean KL(q || p(s|v)) over vocabulary words covered by the prior."""
-    fw = _forward(params, space.feature_matrix(params.forms))
-    q, mask = prior_arrays(prior, params.vocab)
-    if not mask.any():
-        raise DataError("no vocabulary word is covered by the sentiment prior")
-    posterior = fw.N / fw.rho[:, None]
-    return float(_kl_rows(q[mask], posterior[mask]).mean())
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import numpy as np
 
 from .corpus import GENDERS, CountTable, Gender, GenderLexicon, gender_onehot
 from .errors import DataError, NumericalError
+from .evaluation import _midranks, spearman
 from .model import _lbfgs
 
 
@@ -105,8 +106,6 @@ class Prop1Report:
 
 def _rank_correlation(x: np.ndarray, y: np.ndarray) -> float:
     """Spearman's rho, with identical rankings short-circuited to exactly 1."""
-    from .evaluation import _midranks, spearman
-
     if np.array_equal(_midranks(x), _midranks(y)):
         return 1.0
     if x.size < 3:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .corpus import Gender, GenderLexicon, Pair, Relation, aggregate_counts, write_canonical
 from .lexicons import SenseKind, Sentiment
-from .model import FeatureSpace, ModelParams, _forward
+from .model import FeatureSpace, ModelParams, joint_marginal
 
 # Base body-sense weights are drawn below 0.18, so a planted shift up to this
 # keeps every body weight, and so every remaining sense weight, in [0, 1].
@@ -102,7 +102,7 @@ def generate(config: SynthConfig, lex: GenderLexicon) -> SynthData:
     xi = np.log(rng.dirichlet(np.full(len(forms), 1.0)))
     truth = ModelParams(vocab=vocab, forms=forms, m=m, eta=eta,
                         omega=np.zeros((len(forms), 3)), xi=xi)
-    joint = _forward(truth, space.feature_matrix(forms)).J
+    joint = joint_marginal(truth, space)
     draws = rng.multinomial(config.n_pairs, joint.ravel() / joint.sum()).reshape(joint.shape)
 
     pairs = []

@@ -1,12 +1,14 @@
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from genderedlang.corpus import (Gender, GenderLexicon, LexiconEntry, Number, Pair,
                                  Relation, aggregate_counts, bundled_lexicon_path,
                                  load_gender_lexicon)
 from genderedlang.lexicons import SenseKind, load_sense_inventory, load_sentiment_lexicon
-from genderedlang.model import FeatureSpace
+from genderedlang.model import FeatureSpace, _forward, prior_arrays
 
 DATA = Path(__file__).parent / "data"
 
@@ -36,6 +38,37 @@ def tiny_lexicon():
 @pytest.fixture(scope="session")
 def tiny_space(tiny_lexicon):
     return FeatureSpace.from_lexicon(tiny_lexicon)
+
+
+def forward(params, space):
+    """Every factor and marginal of the model in one pass: A, B, c, J, N, rho."""
+    return _forward(params, space.feature_matrix(params.forms))
+
+
+def sentiment_posterior(params, space):
+    """p(s | v) = N / rho, one row per vocabulary word."""
+    fw = forward(params, space)
+    return fw.N / fw.rho[:, None]
+
+
+def mean_posterior_kl(params, space, prior):
+    """Mean of KL(q(s | v) || p(s | v)) over the words the prior covers, one word at a time."""
+    q, mask = prior_arrays(prior, params.vocab)
+    posterior = sentiment_posterior(params, space)
+    kls = [sum(q_s * math.log(q_s / p_s) for q_s, p_s in zip(q[v], posterior[v]) if q_s > 0)
+           for v in np.flatnonzero(mask)]
+    assert kls, "no vocabulary word is covered by the prior"
+    return float(np.mean(kls))
+
+
+def assert_all_normalized(params, space, tol=1e-10):
+    """Each of the model's five distributions sums to 1 within tol, for every condition."""
+    fw = forward(params, space)
+    assert abs(fw.c.sum() - 1.0) < tol                                         # p(n)
+    assert abs(fw.J.sum() - 1.0) < tol                                         # p(v, n)
+    assert np.all(np.abs(fw.B.sum(axis=0) - 1.0) < tol)                        # p(s | n)
+    assert np.all(np.abs(fw.A.sum(axis=0) - 1.0) < tol)                        # p(v | s, n)
+    assert np.all(np.abs(sentiment_posterior(params, space).sum(axis=1) - 1.0) < tol)  # p(s | v)
 
 
 def make_table(counts: dict, relation: Relation = Relation.AMOD, lex: GenderLexicon | None = None):

@@ -16,14 +16,11 @@ import scipy.stats
 from genderedlang.cli import main
 from genderedlang.corpus import Gender, Relation, aggregate_counts, iter_canonical
 from genderedlang.evaluation import permutation_test, spearman, topk
-from genderedlang.lexicons import SENTIMENTS
-from genderedlang.model import (TrainConfig, cond_neighbor, gradient, init_params,
-                                joint_marginal, mean_posterior_kl, noun_prior, objective,
-                                sent_given_noun, sentiment_posterior, train)
+from genderedlang.model import TrainConfig, gradient, init_params, objective, train
 from genderedlang.pmi import GenderCollapsedTable, prop1_check
 from genderedlang.synth import SynthConfig, generate
 
-from conftest import DATA, make_table
+from conftest import DATA, assert_all_normalized, make_table, mean_posterior_kl
 
 
 def passed(n, message):
@@ -106,24 +103,13 @@ def test_criterion_2_gradient_correctness(tiny_lexicon, tiny_space):
     passed(2, f"10 interior points match central differences (rtol 1e-4), {elapsed:.1f}s")
 
 
-def _assert_all_normalized(params, space, tol=1e-10):
-    assert abs(noun_prior(params).sum() - 1.0) < tol                      # p(n)
-    assert abs(joint_marginal(params, space).sum() - 1.0) < tol           # p(v, n)
-    for form in params.forms:
-        assert abs(sent_given_noun(params, form).sum() - 1.0) < tol       # p(s | n)
-        for s in SENTIMENTS:
-            assert abs(cond_neighbor(params, space, form, s).sum() - 1.0) < tol  # p(v | s, n)
-    for word in params.vocab:
-        assert abs(sentiment_posterior(params, space, word).sum() - 1.0) < tol  # p(s | v)
-
-
 def test_criterion_3_normalization_suite(lexicon, space, toy_table, toy_prior):
     params = init_params(toy_table, space)
-    _assert_all_normalized(params, space)
+    assert_all_normalized(params, space, tol=1e-10)
     result = train(toy_table, space, toy_prior,
                    TrainConfig(alpha=1e-3, beta=0.5, max_iterations=100))
     assert result.iterations == 100
-    _assert_all_normalized(result.params, space)
+    assert_all_normalized(result.params, space, tol=1e-10)
     passed(3, "all five distributions sum to 1 within 1e-10 at init and after 100 steps")
 
 
@@ -205,8 +191,7 @@ def _planted_run(tmp_path, seed, effect):
     assert main(["train", "--corpus", str(ingest_dir / "amod.tsv"), "--relation", "amod",
                  "--sentiment-lexicon", str(synth_dir / "sentiment_lexicon.tsv"),
                  "--alpha-grid", "0,0.001", "--beta-grid", "0.1,1",
-                 "--max-iterations", "1000", "--seed", str(seed),
-                 "--out", str(train_dir)]) == 0
+                 "--max-iterations", "1000", "--out", str(train_dir)]) == 0
     senses_out = base / "senses.tsv"
     assert main(["report", "senses", "--checkpoint", str(train_dir / "checkpoint_averaged.json"),
                  "--inventory", str(synth_dir / "senses_adj.tsv"), "--kind", "adj",
@@ -240,7 +225,7 @@ def test_criterion_8_determinism(tmp_path):
         out = tmp_path / name
         assert main(["train", "--corpus", str(DATA / "toy_corpus.tsv"), "--relation", "amod",
                      "--sentiment-lexicon", str(DATA / "toy_sentiment.tsv"),
-                     "--alpha-grid", "0,0.001", "--beta-grid", "0.5", "--seed", "3",
+                     "--alpha-grid", "0,0.001", "--beta-grid", "0.5",
                      "--max-iterations", "2000", "--out", str(out)]) == 0
         outs.append(out)
     names = [p.name for p in sorted(outs[0].glob("*.json"))]

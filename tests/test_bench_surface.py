@@ -6,7 +6,8 @@ workloads.py and the benchmark's tests also import package names and call
 them.  perfbench/ is kept fixed between benchmark changes, so a rename, a
 deletion or a changed call signature in the package has to fail here.  The
 scripts in scripts/ have no tests of their own, so their package imports
-and calls are checked the same way.
+and calls are checked the same way.  In the other direction, every public
+function and class of the package must have a caller outside the tests.
 """
 
 import ast
@@ -20,6 +21,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SOURCES = {name: ROOT / "perfbench" / name
            for name in ("child.py", "workloads.py", "test_perfbench.py")}
 SOURCES.update((path.name, path) for path in sorted((ROOT / "scripts").glob("*.py")))
+PACKAGE = sorted(path for path in (ROOT / "src" / "genderedlang").glob("*.py")
+                 if path.name != "__init__.py")
 
 
 def _tree(name: str) -> ast.Module:
@@ -99,3 +102,32 @@ def test_imported_name_resolves(source, module, name):
                               for s, _, n, a, kw in CALLS])
 def test_call_signature_binds(source, module, name, n_args, keywords):
     inspect.signature(_resolve(module, name)).bind(*range(n_args), **dict.fromkeys(keywords))
+
+
+def _defines(stmt: ast.stmt) -> str | None:
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return stmt.name
+    return None
+
+
+def test_every_public_name_has_a_caller():
+    """Each public module-level function and class in the package (its __init__
+    re-exports aside) is named in src/, scripts/ or perfbench/ outside its own
+    definition, so nothing is kept alive by the tests alone."""
+    referrers = [*PACKAGE, *sorted((ROOT / "scripts").glob("*.py")),
+                 *sorted((ROOT / "perfbench").glob("*.py"))]
+    referenced: set[str] = set()
+    for path in referrers:
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = _defines(stmt)
+            for node in ast.walk(stmt):
+                name = (node.id if isinstance(node, ast.Name)
+                        else node.attr if isinstance(node, ast.Attribute) else None)
+                if name is not None and name != own:
+                    referenced.add(name)
+    public = [(path.name, _defines(stmt)) for path in PACKAGE
+              for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+              if _defines(stmt) and not _defines(stmt).startswith("_")]
+    assert len(public) >= 50
+    unused = [f"{module}:{name}" for module, name in public if name not in referenced]
+    assert not unused, f"public names with no caller outside the tests: {', '.join(unused)}"

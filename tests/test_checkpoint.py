@@ -21,7 +21,7 @@ def random_params(toy_table, space, seed=0):
 class TestCheckpoint:
     def test_round_trip_is_bitwise(self, toy_table, space, tmp_path):
         params = random_params(toy_table, space)
-        config = TrainConfig(alpha=1e-3, beta=0.5, seed=7)
+        config = TrainConfig(alpha=1e-3, beta=0.5, max_iterations=7)
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, params, space, config, toy_table.fingerprint(), "amod",
                         extra={"iterations": 42})
@@ -119,6 +119,14 @@ def _bad_number_token(doc):
     next(iter(doc["space"]["forms"].values()))[2] = "xyz"
 
 
+def _unsorted_lemmas(doc):
+    doc["space"]["lemmas"].reverse()
+
+
+def _duplicate_lemma(doc):
+    doc["space"]["lemmas"].insert(0, doc["space"]["lemmas"][0])
+
+
 def _vocab_entry_not_a_string(doc):
     doc["vocab"][0] = [1]
 
@@ -149,6 +157,8 @@ MALFORMED = {
     "nan_xi": (_nan_xi, "non-finite value in xi"),
     "bad_gender_token": (_bad_gender_token, "not a valid Gender"),
     "bad_number_token": (_bad_number_token, "not a valid Number"),
+    "unsorted_lemmas": (_unsorted_lemmas, "sorted and distinct"),
+    "duplicate_lemma": (_duplicate_lemma, "sorted and distinct"),
     "vocab_entry_not_a_string": (_vocab_entry_not_a_string, "distinct strings"),
     "duplicate_form": (_duplicate_form, "distinct strings"),
     "form_outside_space": (_form_outside_space, "distinct strings"),
@@ -174,14 +184,15 @@ def test_top_level_list_is_a_data_error(tmp_path):
 
 
 def test_retired_optimizer_keys_load_and_are_ignored(toy_table, space, tmp_path):
-    # Checkpoints written by the former Adam optimizer carry its settings in "config".
+    # Checkpoints written by the former Adam optimizer carry its settings and
+    # the unused training seed in "config".
     path = tmp_path / "ckpt.json"
     config = TrainConfig(alpha=1e-3, beta=0.5)
     save_checkpoint(path, random_params(toy_table, space), space, config, "fp", "amod")
     doc = json.loads(path.read_text())
     assert not {"learning_rate", "adam_beta1", "adam_beta2", "adam_epsilon",
-                "window"} & doc["config"].keys()
+                "window", "seed"} & doc["config"].keys()
     doc["config"].update(learning_rate=0.1, adam_beta1=0.9, adam_beta2=0.999,
-                         adam_epsilon=1e-8, window=50)
+                         adam_epsilon=1e-8, window=50, seed=7)
     path.write_text(json.dumps(doc))
     assert load_checkpoint(path).config == config

@@ -120,7 +120,8 @@ REALS, INTS = ["0", "-1", "nan"], ["0", "-1"]
 BAD_FLAGS = [(command, flag, value) for command, flag, values in [
     ("train", "--tolerance", REALS),
     ("train", "--max-iterations", INTS), ("train", "--jobs", INTS),
-    ("train", "--alpha-grid", ["nan"]), ("train", "--beta-grid", ["nan"]),
+    ("train", "--alpha-grid", ["nan", "0,0,0.001", "1e-7,1.0000001e-7"]),
+    ("train", "--beta-grid", ["nan", "0.1,0.1000000001"]),
     ("prop1", "--max-iterations", INTS),
     ("prop1", "--saturation-tol", REALS),
     ("synth", "--n-pairs", ["0", "-5"]), ("synth", "--planted-body-fem", ["nan", "-0.1", "0.95"]),

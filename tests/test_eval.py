@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from genderedlang.corpus import Gender
 from genderedlang.errors import DataError
-from genderedlang.evaluation import (RankedList, correlate_judgments, permutation_test,
-                                     sense_difference_suite, sense_profile,
-                                     sentiment_frequency, spearman, topk)
+from genderedlang.evaluation import (correlate_judgments, permutation_test,
+                                     sense_difference_suite, sentiment_frequency, spearman,
+                                     topk)
 from genderedlang.lexicons import SENTIMENTS, SenseInventory, SenseKind, SentimentPrior
 from genderedlang.model import init_params
 
@@ -81,52 +81,48 @@ class TestTopk:
                 assert all(value == 0.0 for _, value in ranked.entries)
 
 class TestSenseProfile:
-    def make_inventory(self, weights):
-        return SenseInventory(kind=SenseKind.ADJ, weights=weights)
+    """Per-sense means of a top-k list, as sense_difference_suite reports them."""
 
-    def ranked(self, words):
-        return RankedList(gender=Gender.FEM, sentiment=POS,
-                          entries=tuple((w, 1.0) for w in words), k=len(words))
+    def fem_means(self, lexicon, space, words, weights):
+        # the vocabulary is exactly `words`, so the FEM/POS top-k list holds every one of them
+        params = params_with_scores(lexicon, space, fem_scores={w: 1.0 for w in words})
+        inventory = SenseInventory(kind=SenseKind.ADJ, weights=weights)
+        rows = sense_difference_suite(params, space, inventory, k=len(words), permutations=10)
+        return {r.sense: r.freq_fem for r in rows if r.sentiment == "pos"}
 
-    def test_two_entry_mean(self):
-        inv = self.make_inventory({"a": {"body": 1.0}, "b": {"behavior": 1.0}})
-        profile = sense_profile(self.ranked(["a", "b"]), inv)
-        assert profile.frequencies["body"] == 0.5
-        assert profile.frequencies["behavior"] == 0.5
-        assert profile.coverage == 1.0
+    def test_two_entry_mean(self, lexicon, space):
+        means = self.fem_means(lexicon, space, ["a", "b"],
+                               {"a": {"body": 1.0}, "b": {"behavior": 1.0}})
+        assert means["body"] == 0.5
+        assert means["behavior"] == 0.5
 
-    def test_single_entry_identity(self):
-        inv = self.make_inventory({"a": {"body": 0.7, "mind": 0.3}})
-        profile = sense_profile(self.ranked(["a"]), inv)
-        assert profile.frequencies["body"] == pytest.approx(0.7)
-        assert profile.frequencies["mind"] == pytest.approx(0.3)
+    def test_single_entry_identity(self, lexicon, space):
+        means = self.fem_means(lexicon, space, ["a"], {"a": {"body": 0.7, "mind": 0.3}})
+        assert means["body"] == pytest.approx(0.7)
+        assert means["mind"] == pytest.approx(0.3)
 
-    def test_three_entry_hand_mean(self):
-        inv = self.make_inventory({
+    def test_three_entry_hand_mean(self, lexicon, space):
+        means = self.fem_means(lexicon, space, ["a", "b", "c"], {
             "a": {"body": 0.5, "mind": 0.5},
             "b": {"body": 1.0},
             "c": {"behavior": 0.6, "body": 0.4},
         })
-        profile = sense_profile(self.ranked(["a", "b", "c"]), inv)
-        assert profile.frequencies["body"] == pytest.approx((0.5 + 1.0 + 0.4) / 3, abs=1e-12)
-        assert profile.frequencies["mind"] == pytest.approx(0.5 / 3, abs=1e-12)
-        assert profile.frequencies["behavior"] == pytest.approx(0.2, abs=1e-12)
+        assert means["body"] == pytest.approx((0.5 + 1.0 + 0.4) / 3, abs=1e-12)
+        assert means["mind"] == pytest.approx(0.5 / 3, abs=1e-12)
+        assert means["behavior"] == pytest.approx(0.2, abs=1e-12)
 
-    def test_uncovered_entries_count_against_coverage_only(self):
-        inv = self.make_inventory({"a": {"body": 1.0}})
-        profile = sense_profile(self.ranked(["a", "zzz"]), inv)
-        assert profile.coverage == 0.5
-        assert profile.frequencies["body"] == 1.0
+    def test_uncovered_entries_are_ignored(self, lexicon, space):
+        means = self.fem_means(lexicon, space, ["a", "zzz"], {"a": {"body": 1.0}})
+        assert means["body"] == 1.0
 
-    def test_zero_coverage_rejected(self):
-        inv = self.make_inventory({"a": {"body": 1.0}})
+    def test_zero_coverage_rejected(self, lexicon, space):
         with pytest.raises(DataError, match="no entries in inventory"):
-            sense_profile(self.ranked(["x", "y"]), inv)
+            self.fem_means(lexicon, space, ["x", "y"], {"a": {"body": 1.0}})
 
-    def test_frequencies_sum_to_one_over_covered(self, toy_inventory):
+    def test_frequencies_sum_to_one_over_covered(self, lexicon, space, toy_inventory):
         words = list(toy_inventory.weights)[:5]
-        profile = sense_profile(self.ranked(words), toy_inventory)
-        assert abs(sum(profile.frequencies.values()) - 1.0) < 1e-9
+        means = self.fem_means(lexicon, space, words, toy_inventory.weights)
+        assert abs(sum(means.values()) - 1.0) < 1e-9
 
 
 class TestPermutationTest:

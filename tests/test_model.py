@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,12 +9,11 @@ from hypothesis import strategies as st
 from genderedlang import model
 from genderedlang.errors import DataError, NumericalError
 from genderedlang.lexicons import SENTIMENTS, SentimentPrior
-from genderedlang.model import (TrainConfig, cond_neighbor, gradient, grid_train_average,
-                                init_params, joint_marginal, mean_posterior_kl, noun_prior,
-                                objective, sent_given_noun, sentiment_posterior,
-                                train)
+from genderedlang.model import (TrainConfig, gradient, grid_train_average, init_params,
+                                joint_marginal, objective, train)
 
-from conftest import make_table
+from conftest import (assert_all_normalized, forward, make_table, mean_posterior_kl,
+                      sentiment_posterior)
 
 POS, NEG, NEU = SENTIMENTS
 
@@ -32,6 +32,16 @@ def tiny_prior():
     return SentimentPrior(probs={"good": (0.7, 0.1, 0.2), "vile": (0.1, 0.8, 0.1)})
 
 
+def softmax(x):
+    e = np.exp(x - x.max())
+    return e / e.sum()
+
+
+def cond_neighbor_oracle(params, space, form, s):
+    """p(v | s, n): softmax over V of m plus the form's three eta columns (its form_bits)."""
+    return softmax(params.m + params.eta[:, s, list(space.form_bits[form])].sum(axis=1))
+
+
 class TestInit:
     def test_uniform_counts_give_uniform_background(self, tiny_lexicon, tiny_space):
         table = make_table({(w, f): 10 for w in ("a", "b", "c", "d")
@@ -43,10 +53,9 @@ class TestInit:
         table = tiny_table(tiny_lexicon)
         params = init_params(table, tiny_space)
         p_v = table.p_hat().sum(axis=1)
-        for s in SENTIMENTS:
-            for form in table.forms:
-                dist = cond_neighbor(params, tiny_space, form, s)
-                assert np.allclose(dist, p_v, atol=1e-12)
+        A = forward(params, tiny_space).A  # p(v | s, n), shape (V, S, G)
+        assert A.shape == (len(p_v), len(SENTIMENTS), len(table.forms))
+        assert np.allclose(A, p_v[:, None, None], atol=1e-12)
 
     def test_deterministic(self, tiny_lexicon, tiny_space):
         table = tiny_table(tiny_lexicon)
@@ -69,7 +78,8 @@ class TestConditionals:
         table = make_table({("hi", "alpha_f"): 7, ("lo", "alpha_f"): 3}, lex=tiny_lexicon)
         params = init_params(table, tiny_space)
         params.eta[params.vocab.index("hi"), 0, tiny_space.fem_index] = 1.0
-        dist = cond_neighbor(params, tiny_space, "alpha_f", POS)
+        A = forward(params, tiny_space).A
+        dist = A[:, SENTIMENTS.index(POS), params.forms.index("alpha_f")]
         assert dist[params.vocab.index("hi")] == pytest.approx(0.8638095285778119, abs=1e-12)
         assert dist[params.vocab.index("lo")] == pytest.approx(0.1361904714221882, abs=1e-12)
 
@@ -77,52 +87,55 @@ class TestConditionals:
         table = tiny_table(tiny_lexicon)
         params = init_params(table, tiny_space)
         params.eta = np.random.default_rng(0).uniform(0, 1, params.eta.shape)
-        base = cond_neighbor(params, tiny_space, "beta_m", NEG)
-        shifted = params.copy()
-        shifted.m = shifted.m + 2.5
-        assert np.allclose(cond_neighbor(shifted, tiny_space, "beta_m", NEG), base, atol=1e-12)
+        base = forward(params, tiny_space).A
+        for g, form in enumerate(params.forms):
+            for s in range(len(SENTIMENTS)):
+                assert np.allclose(base[:, s, g], cond_neighbor_oracle(params, tiny_space, form, s),
+                                   atol=1e-12)
+        shifted = replace(params, m=params.m + 2.5)
+        assert np.allclose(forward(shifted, tiny_space).A, base, atol=1e-12)
 
     def test_sent_given_noun_uniform(self, tiny_lexicon, tiny_space):
         params = init_params(tiny_table(tiny_lexicon), tiny_space)
-        assert np.allclose(sent_given_noun(params, "alpha_f"), [1 / 3] * 3, atol=1e-15)
+        assert np.allclose(forward(params, tiny_space).B, 1 / 3, atol=1e-15)  # p(s | n)
 
     def test_sent_given_noun_hand_softmax(self, tiny_lexicon, tiny_space):
         params = init_params(tiny_table(tiny_lexicon), tiny_space)
-        idx = params.form_index("alpha_m")
+        idx = params.forms.index("alpha_m")
         params.omega[idx] = [1.0, 0.0, 0.0]
-        dist = sent_given_noun(params, "alpha_m")
+        dist = forward(params, tiny_space).B[:, idx]
         assert dist == pytest.approx([0.5761168847658291, 0.21194155761708547,
                                       0.21194155761708547], abs=1e-12)
 
     def test_sent_given_noun_shift_invariance(self, tiny_lexicon, tiny_space):
         params = init_params(tiny_table(tiny_lexicon), tiny_space)
-        idx = params.form_index("beta_f")
+        idx = params.forms.index("beta_f")
         params.omega[idx] = [0.4, -0.2, 1.1]
-        before = sent_given_noun(params, "beta_f")
+        before = forward(params, tiny_space).B[:, idx]
         params.omega[idx] += 7.0
-        assert np.allclose(sent_given_noun(params, "beta_f"), before, atol=1e-12)
+        assert np.allclose(forward(params, tiny_space).B[:, idx], before, atol=1e-12)
 
     def test_noun_prior_recovers_empirical(self, tiny_lexicon, tiny_space):
         table = tiny_table(tiny_lexicon)
         params = init_params(table, tiny_space)
-        assert np.allclose(noun_prior(params), table.p_hat().sum(axis=0), atol=1e-12)
+        assert np.allclose(forward(params, tiny_space).c, table.p_hat().sum(axis=0), atol=1e-12)
 
     def test_noun_prior_uniform_and_hand_values(self, tiny_lexicon, tiny_space):
         table = make_table({("a", f): 1 for f in ("alpha_f", "alpha_m", "beta_f")},
                            lex=tiny_lexicon)
         params = init_params(table, tiny_space)
         params.xi = np.zeros(3)
-        assert np.allclose(noun_prior(params), [1 / 3] * 3, atol=1e-15)
+        assert np.allclose(forward(params, tiny_space).c, [1 / 3] * 3, atol=1e-15)
         params.xi = np.array([0.5, -0.25, 1.0])
-        assert noun_prior(params) == pytest.approx(
+        assert forward(params, tiny_space).c == pytest.approx(
             [0.32040110902661306, 0.1513467673652992, 0.5282521236080877], abs=1e-12)
 
 
-def brute_force_joint(params, space):
-    """Loop oracle for the sentiment-marginalized joint (explicit 3-term sum)."""
+def brute_force_mass(params, space):
+    """Loop oracle for the joint p(v, s, n), shape (V, S, G)."""
     V, S, G = len(params.vocab), params.n_sentiments, len(params.forms)
     bits = [space.form_bits[f] for f in params.forms]
-    out = np.zeros((V, G))
+    out = np.zeros((V, S, G))
     z_xi = sum(math.exp(x) for x in params.xi)
     for n in range(G):
         p_n = math.exp(params.xi[n]) / z_xi
@@ -132,8 +145,19 @@ def brute_force_joint(params, space):
             scores = [params.m[v] + sum(params.eta[v, s, t] for t in bits[n]) for v in range(V)]
             z = sum(math.exp(u) for u in scores)
             for v in range(V):
-                out[v, n] += (math.exp(scores[v]) / z) * p_s * p_n
+                out[v, s, n] = (math.exp(scores[v]) / z) * p_s * p_n
     return out
+
+
+def brute_force_joint(params, space):
+    """Loop oracle for the sentiment-marginalized joint (explicit 3-term sum)."""
+    return brute_force_mass(params, space).sum(axis=1)
+
+
+def brute_force_posterior(params, space, v):
+    """p(s | v) by explicit enumeration over (s, n)."""
+    mass = brute_force_mass(params, space)[v].sum(axis=1)
+    return mass / mass.sum()
 
 
 class TestJoint:
@@ -162,22 +186,20 @@ class TestSentimentPosterior:
         rng = np.random.default_rng(3)
         params.eta = rng.uniform(0, 1, params.eta.shape)
         params.omega = rng.normal(0, 1, params.omega.shape)
-        p_s = sent_given_noun(params, "alpha_f")
-        for v, word in enumerate(params.vocab):
-            expected = np.array([cond_neighbor(params, tiny_space, "alpha_f", s)[v] * p_s[j]
-                                 for j, s in enumerate(SENTIMENTS)])
+        p_s = softmax(params.omega[0])
+        posterior = sentiment_posterior(params, tiny_space)
+        for v in range(len(params.vocab)):
+            expected = np.array([cond_neighbor_oracle(params, tiny_space, "alpha_f", s)[v] * p_s[s]
+                                 for s in range(len(SENTIMENTS))])
             expected /= expected.sum()
-            assert np.allclose(sentiment_posterior(params, tiny_space, word), expected,
-                               atol=1e-12)
+            assert np.allclose(posterior[v], expected, atol=1e-12)
 
     def test_symmetric_model_gives_uniform(self, tiny_lexicon, tiny_space):
         params = init_params(tiny_table(tiny_lexicon), tiny_space)
         rng = np.random.default_rng(4)
         shared = rng.uniform(0, 1, (len(params.vocab), 1, tiny_space.dim))
         params.eta = np.repeat(shared, 3, axis=1)  # deviations independent of s
-        for word in params.vocab:
-            assert np.allclose(sentiment_posterior(params, tiny_space, word),
-                               [1 / 3] * 3, atol=1e-12)
+        assert np.allclose(sentiment_posterior(params, tiny_space), 1 / 3, atol=1e-12)
 
     def test_two_noun_brute_force(self, tiny_lexicon, tiny_space):
         table = make_table({("good", "alpha_f"): 3, ("good", "beta_m"): 5,
@@ -187,14 +209,10 @@ class TestSentimentPosterior:
         params.eta = rng.uniform(0, 1.2, params.eta.shape)
         params.omega = rng.normal(0, 0.8, params.omega.shape)
         params.xi = rng.normal(0, 0.8, params.xi.shape)
-        for v, word in enumerate(params.vocab):
-            num = np.zeros(3)
-            for j, s in enumerate(SENTIMENTS):
-                for n, form in enumerate(params.forms):
-                    num[j] += (cond_neighbor(params, tiny_space, form, s)[v]
-                               * sent_given_noun(params, form)[j] * noun_prior(params)[n])
-            assert np.allclose(sentiment_posterior(params, tiny_space, word),
-                               num / num.sum(), atol=1e-12)
+        posterior = sentiment_posterior(params, tiny_space)
+        for v in range(len(params.vocab)):
+            assert np.allclose(posterior[v], brute_force_posterior(params, tiny_space, v),
+                               atol=1e-12)
 
 
 def brute_force_objective(params, space, table, prior, config):
@@ -213,12 +231,7 @@ def brute_force_objective(params, space, table, prior, config):
             q = prior.get(word)
             if q is None:
                 continue
-            mass = np.zeros(3)
-            for j in range(3):
-                for n, form in enumerate(params.forms):
-                    mass[j] += (cond_neighbor(params, space, form, SENTIMENTS[j])[v]
-                                * sent_given_noun(params, form)[j] * noun_prior(params)[n])
-            p_sv = mass / mass.sum()
+            p_sv = brute_force_posterior(params, space, v)
             kl = sum(q[j] * math.log(q[j] / p_sv[j]) for j in range(3) if q[j] > 0)
             value -= config.beta * kl
     return value
@@ -412,13 +425,7 @@ class TestTrain:
     def test_distributions_normalized_after_training(self, toy_table, space, toy_prior):
         result = train(toy_table, space, toy_prior,
                        TrainConfig(alpha=1e-4, beta=0.5, max_iterations=100))
-        params = result.params
-        assert abs(joint_marginal(params, space).sum() - 1.0) < 1e-10
-        assert abs(noun_prior(params).sum() - 1.0) < 1e-10
-        for form in params.forms:
-            assert abs(sent_given_noun(params, form).sum() - 1.0) < 1e-10
-            for s in SENTIMENTS:
-                assert abs(cond_neighbor(params, space, form, s).sum() - 1.0) < 1e-10
+        assert_all_normalized(result.params, space)
 
 
 class TestGrid:
@@ -470,8 +477,8 @@ class TestPosteriorKl:
         prior = SentimentPrior(probs={
             w: tuple(rng.dirichlet(np.ones(3))) for w in params.vocab})
         assert mean_posterior_kl(params, tiny_space, prior) >= 0.0
-        matched = SentimentPrior(probs={
-            w: tuple(sentiment_posterior(params, tiny_space, w)) for w in params.vocab})
+        matched = SentimentPrior(probs=dict(zip(
+            params.vocab, map(tuple, sentiment_posterior(params, tiny_space)))))
         assert mean_posterior_kl(params, tiny_space, matched) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -485,11 +492,4 @@ class TestNormalizationProperty:
         params.eta = rng.uniform(0, 4, params.eta.shape)
         params.omega = rng.normal(0, 2, params.omega.shape)
         params.xi = rng.normal(0, 2, params.xi.shape)
-        assert abs(joint_marginal(params, tiny_space).sum() - 1.0) < 1e-10
-        assert abs(noun_prior(params).sum() - 1.0) < 1e-10
-        for form in params.forms:
-            assert abs(sent_given_noun(params, form).sum() - 1.0) < 1e-10
-            for s in SENTIMENTS:
-                assert abs(cond_neighbor(params, tiny_space, form, s).sum() - 1.0) < 1e-10
-        for word in params.vocab:
-            assert abs(sentiment_posterior(params, tiny_space, word).sum() - 1.0) < 1e-10
+        assert_all_normalized(params, tiny_space)
