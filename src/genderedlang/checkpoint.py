@@ -33,7 +33,6 @@ class Checkpoint:
     config: TrainConfig
     fingerprint: str
     relation: str
-    extra: dict
 
 
 def _eta_triplets(eta: np.ndarray) -> list[list]:
@@ -131,5 +130,4 @@ def _from_doc(doc: dict) -> Checkpoint:
         config=config,
         fingerprint=doc["fingerprint"],
         relation=doc["relation"],
-        extra=doc.get("extra", {}),
     )

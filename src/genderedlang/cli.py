@@ -221,7 +221,8 @@ def cmd_report_sentiment(args) -> int:
     return 0
 
 
-def _read_judgments(path: str) -> dict[str, float]:
+def _read_judgments(path: str, convert) -> dict:
+    """``word<TAB>value`` rows as {lower-cased word: convert(value)}."""
     out = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -231,7 +232,7 @@ def _read_judgments(path: str) -> dict[str, float]:
             if len(fields) != 2:
                 raise DataError(f"{path}:{lineno}: expected 2 columns")
             try:
-                out[fields[0].strip().lower()] = float(fields[1])
+                out[fields[0].strip().lower()] = convert(fields[1])
             except ValueError:
                 raise DataError(f"{path}:{lineno}: non-numeric judgment {fields[1]!r}") from None
     if not out:
@@ -239,24 +240,11 @@ def _read_judgments(path: str) -> dict[str, float]:
     return out
 
 
-def _read_binary_judgments(path: str) -> dict[str, str]:
-    out = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != 2:
-                raise DataError(f"{path}:{lineno}: expected 2 columns")
-            out[fields[0].strip().lower()] = fields[1].strip().lower()
-    return out
-
-
 def cmd_report_correlate(args) -> int:
     _require_positive(args, "permutations")
     loaded = ckpt.load_checkpoint(args.checkpoint)
-    judgments = _read_judgments(args.judgments)
-    binary = _read_binary_judgments(args.binary_judgments) if args.binary_judgments else None
+    judgments = _read_judgments(args.judgments, float)
+    binary = _read_judgments(args.binary_judgments, str) if args.binary_judgments else None
     report = ev.correlate_judgments(loaded.params, loaded.space, judgments, binary,
                                     permutations=args.permutations, seed=args.seed)
     _write_tsv(args.out, ["rho", "p", "agreement", "n"],

@@ -60,15 +60,31 @@ class TestResult:
     mean_b: float
 
 
-def _combination_chunks(n: int, k: int):
-    buf: list[tuple[int, ...]] = []
-    for combo in itertools.combinations(range(n), k):
-        buf.append(combo)
-        if len(buf) == 131072:
-            yield np.asarray(buf, dtype=np.intp)
-            buf = []
-    if buf:
-        yield np.asarray(buf, dtype=np.intp)
+# A resampling block holds at most this many values (512 KiB), so it stays in
+# cache at any group size; the draws do not depend on it.
+_BLOCK_VALUES = 1 << 16
+
+
+def _shuffles(values: np.ndarray, permutations: int, seed: int):
+    """Row blocks of shuffled `values`, `permutations` rows in all: row i is
+    the i-th successive ``default_rng(seed).permutation(values)``."""
+    rng = np.random.default_rng(seed)
+    rows = max(1, _BLOCK_VALUES // values.size)
+    for start in range(0, permutations, rows):
+        block = np.tile(values, (min(rows, permutations - start), 1))
+        rng.permuted(block, axis=1, out=block)
+        yield block
+
+
+def _relabelings(pooled: np.ndarray, k: int):
+    """Row blocks of `pooled` at each k-subset of its indices, in
+    ``itertools.combinations`` order."""
+    combos = itertools.combinations(range(pooled.size), k)
+    rows = max(1, _BLOCK_VALUES // k)
+    for _ in range(0, math.comb(pooled.size, k), rows):
+        idx = np.fromiter(itertools.chain.from_iterable(itertools.islice(combos, rows)),
+                          dtype=np.intp)
+        yield pooled[idx.reshape(-1, k)]
 
 
 def permutation_test(group_a, group_b, permutations: int = 100_000, seed: int = 0,
@@ -89,37 +105,29 @@ def permutation_test(group_a, group_b, permutations: int = 100_000, seed: int = 
     if not float(np.abs(pooled).max()) * pooled.size < math.inf:  # NaN fails too
         raise DataError("group values must be finite and small enough that no sum overflows")
     observed = abs(float(a.mean()) - float(b.mean()))
-    n, n_a, n_b = pooled.size, a.size, b.size
+    n = pooled.size
     sum_all = float(pooled.sum())
     # Tiny slack absorbs last-ulp differences between the observed statistic
     # and the identical relabeling reached through a different summation order.
     threshold = observed - 1e-12 * max(1.0, observed)
 
-    total = math.comb(n, n_a)
-    if total <= 1_000_000:
-        hits = 0
-        for idx in _combination_chunks(n, n_a):
-            sums = pooled[idx].sum(axis=1)
-            stats = np.abs(sums / n_a - (sum_all - sums) / n_b)
-            hits += int((stats >= threshold).sum())
-        p = hits / total
-        used, exact = total, True
+    # The statistic is symmetric in the groups, so the exact test enumerates
+    # the subsets of the smaller one: C(n, k) rows of k values each.
+    k = min(a.size, b.size)
+    total = math.comb(n, k)
+    exact = total <= 1_000_000
+    if exact:
+        blocks, used, add_one = _relabelings(pooled, k), total, 0
+    elif permutations <= 0:
+        raise DataError("permutations must be positive for Monte Carlo testing")
     else:
-        if permutations <= 0:
-            raise DataError("permutations must be positive for Monte Carlo testing")
-        rng = np.random.default_rng(seed)
-        hits = 0
-        remaining = permutations
-        while remaining > 0:
-            block = min(remaining, 4096)
-            mat = np.tile(pooled, (block, 1))
-            rng.permuted(mat, axis=1, out=mat)
-            sums = mat[:, :n_a].sum(axis=1)
-            stats = np.abs(sums / n_a - (sum_all - sums) / n_b)
-            hits += int((stats >= threshold).sum())
-            remaining -= block
-        p = (hits + 1) / (permutations + 1)
-        used, exact = permutations, False
+        k = a.size  # the first |A| values of each shuffle are relabeled A
+        blocks, used, add_one = _shuffles(pooled, permutations, seed), permutations, 1
+    hits = 0
+    for block in blocks:
+        sums = block[:, :k].sum(axis=1)
+        hits += int((np.abs(sums / k - (sum_all - sums) / (n - k)) >= threshold).sum())
+    p = (hits + add_one) / (used + add_one)
     return TestResult(statistic=observed, p_value=p, corrected_alpha=alpha,
                       significant=p < alpha, permutations_used=used, exact=exact,
                       mean_a=float(a.mean()), mean_b=float(b.mean()))
@@ -127,6 +135,11 @@ def permutation_test(group_a, group_b, permutations: int = 100_000, seed: int = 
 
 # ---------------------------------------------------------------------------
 # Sense and sentiment suites
+
+
+def _test_seeds(seed: int, n_tests: int) -> list[int]:
+    """One permutation seed per test of a suite, spawned from the suite's seed."""
+    return [int(ss.generate_state(1)[0]) for ss in np.random.SeedSequence(seed).spawn(n_tests)]
 
 
 @dataclass(frozen=True)
@@ -175,7 +188,7 @@ def sense_difference_suite(params: ModelParams, space: FeatureSpace,
         groupings = [("none", (None,))]
     corrected = alpha / len(inventory.kind.senses)
     n_tests = len(groupings) * len(inventory.kind.senses)
-    seeds = [int(ss.generate_state(1)[0]) for ss in np.random.SeedSequence(seed).spawn(n_tests)]
+    seeds = _test_seeds(seed, n_tests)
 
     rows: list[SenseTestRow] = []
     i = 0
@@ -195,7 +208,6 @@ def sense_difference_suite(params: ModelParams, space: FeatureSpace,
 @dataclass(frozen=True)
 class SentimentFrequencyReport:
     frequencies: dict[Gender, tuple[float, float, float]]
-    coverage: dict[Gender, float]
     tests: dict[Sentiment, TestResult]
 
 
@@ -212,7 +224,6 @@ def sentiment_frequency(params: ModelParams, space: FeatureSpace, prior: Sentime
         raise DataError("sentiment-frequency analysis requires the sentiment-collapsed model")
     groups: dict[Gender, list[tuple[float, float, float]]] = {}
     frequencies: dict[Gender, tuple[float, float, float]] = {}
-    coverage: dict[Gender, float] = {}
     for gender in (Gender.MASC, Gender.FEM):
         ranked = topk(params, space, gender, None, k)
         triples = [prior.get(word) for word, _score in ranked.entries]
@@ -222,16 +233,15 @@ def sentiment_frequency(params: ModelParams, space: FeatureSpace, prior: Sentime
         groups[gender] = triples
         arr = np.asarray(triples)
         frequencies[gender] = tuple(float(x) for x in arr.mean(axis=0))
-        coverage[gender] = len(triples) / len(ranked.entries)
     corrected = alpha / 3.0
-    seeds = [int(ss.generate_state(1)[0]) for ss in np.random.SeedSequence(seed).spawn(3)]
+    seeds = _test_seeds(seed, 3)
     tests = {}
     for j, sentiment in enumerate(SENTIMENTS):
         tests[sentiment] = permutation_test(
             [t[j] for t in groups[Gender.MASC]],
             [t[j] for t in groups[Gender.FEM]],
             permutations=permutations, seed=seeds[j], alpha=corrected)
-    return SentimentFrequencyReport(frequencies=frequencies, coverage=coverage, tests=tests)
+    return SentimentFrequencyReport(frequencies=frequencies, tests=tests)
 
 
 # ---------------------------------------------------------------------------
@@ -239,16 +249,14 @@ def sentiment_frequency(params: ModelParams, space: FeatureSpace, prior: Sentime
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i: j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks; tied values share the mean of the ranks they span."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
+
+
+def _centred_ranks(values: np.ndarray) -> np.ndarray:
+    ranks = _midranks(values)
+    return ranks - ranks.mean()
 
 
 def spearman(x, y) -> float:
@@ -261,10 +269,8 @@ def spearman(x, y) -> float:
         raise DataError("need at least 3 observations")
     if not (np.isfinite(xa).all() and np.isfinite(ya).all()):
         raise DataError("inputs must be finite")
-    rx = _midranks(xa)
-    ry = _midranks(ya)
-    dx = rx - rx.mean()
-    dy = ry - ry.mean()
+    dx = _centred_ranks(xa)
+    dy = _centred_ranks(ya)
     vx = float(dx @ dx)
     vy = float(dy @ dy)
     if vx == 0.0 or vy == 0.0:
@@ -280,6 +286,9 @@ def gender_posterior(params: ModelParams, space: FeatureSpace) -> np.ndarray:
     if not np.all((fw.rho > 0) & (fw.rho < np.inf)):  # else fem_mass / rho is not finite
         raise NumericalError("gender posterior is not finite: a word's joint mass is 0 or inf")
     return fem_mass / fw.rho
+
+
+_GENDER_LABELS = {"f": "f", "fem": "f", "female": "f", "m": "m", "masc": "m", "male": "m"}
 
 
 @dataclass(frozen=True)
@@ -299,52 +308,48 @@ def correlate_judgments(params: ModelParams, space: FeatureSpace,
 
     rho is Spearman between the continuous annotations and the posterior
     gender probabilities; its p-value comes from permuting annotations.
-    Agreement binarizes the posterior at 0.5 against m/f labels.  The raw
+    Agreement binarizes the posterior at 0.5 against m/f labels, every one of
+    which must be f, fem, female, m, masc or male (any case); it is NaN when
+    no labelled word is in the vocabulary.  The raw
     deviation difference (fem - masc, averaged over sentiments) is also
     correlated for audit; None when that score is constant.
     """
-    vocab_set = set(params.vocab)
-    overlap = sorted(w.lower() for w in judgments if w.lower() in vocab_set)
+    v_idx = {v: i for i, v in enumerate(params.vocab)}
+    overlap = sorted(w.lower() for w in judgments if w.lower() in v_idx)
     if len(overlap) < 3:
-        missing = sorted(w.lower() for w in judgments if w.lower() not in vocab_set)
+        missing = sorted(w.lower() for w in judgments if w.lower() not in v_idx)
         raise DataError(f"need at least 3 overlapping words, got {len(overlap)}; "
                         f"missing from vocabulary: {', '.join(missing) or 'none'}")
     lowered = {w.lower(): v for w, v in judgments.items()}
     annotations = np.array([lowered[w] for w in overlap])
     posterior = gender_posterior(params, space)
-    v_idx = {v: i for i, v in enumerate(params.vocab)}
     femaleness = np.array([posterior[v_idx[w]] for w in overlap])
 
     rho = spearman(annotations, femaleness)
-    rng = np.random.default_rng(seed)
-    hits = 0
-    for _ in range(permutations):
-        # a permutation of non-constant annotations is never constant, so this cannot raise
-        r = spearman(rng.permutation(annotations), femaleness)
-        if abs(r) >= abs(rho) - 1e-12:
-            hits += 1
+    # Permuting the annotations permutes their centred midranks, so each null
+    # rho is a row of a block times the centred femaleness ranks, over the same
+    # scale.  Midranks are half-integers summing to n(n+1)/2, so their mean,
+    # deviations and dot products are exact in float64: every null rho equals
+    # what spearman returns for that permutation, in any summation order.
+    dx, dy = _centred_ranks(annotations), _centred_ranks(femaleness)
+    scale = math.sqrt(float(dx @ dx) * float(dy @ dy))
+    hits = sum(int((np.abs(block @ dy / scale) >= abs(rho) - 1e-12).sum())
+               for block in _shuffles(dx, permutations, seed))
     p_value = (hits + 1) / (permutations + 1)
 
     agreement = math.nan
-    if binary_judgments:
-        labels = {w.lower(): lab.lower() for w, lab in binary_judgments.items()}
-        overlap_set = set(overlap)
-        pairs = [(labels[w], femaleness[i]) for i, w in enumerate(overlap) if w in labels]
-        for w in labels:
-            if w in vocab_set and w not in overlap_set:
-                pairs.append((labels[w], posterior[v_idx[w]]))
-        if pairs:
-            agree = 0
-            for label, fem in pairs:
-                predicted = "f" if fem > 0.5 else "m"
-                if label in ("f", "fem", "female"):
-                    label = "f"
-                elif label in ("m", "masc", "male"):
-                    label = "m"
-                else:
-                    raise DataError(f"unknown binary gender label {label!r}")
-                agree += predicted == label
-            agreement = agree / len(pairs)
+    if binary_judgments is not None:
+        labels = {}
+        for word, label in binary_judgments.items():
+            gender = _GENDER_LABELS.get(label.strip().lower())
+            if gender is None:
+                raise DataError(f"unknown binary gender label {label!r} for {word!r}; "
+                                f"expected one of {', '.join(_GENDER_LABELS)}")
+            labels[word.lower()] = gender
+        labelled = [w for w in labels if w in v_idx]
+        if labelled:
+            agree = sum(("f" if posterior[v_idx[w]] > 0.5 else "m") == labels[w] for w in labelled)
+            agreement = agree / len(labelled)
 
     raw = params.eta[:, :, space.fem_index].mean(axis=1) - params.eta[:, :, space.masc_index].mean(axis=1)
     raw_scores = np.array([raw[v_idx[w]] for w in overlap])

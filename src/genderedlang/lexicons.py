@@ -74,7 +74,6 @@ class SentimentPrior:
     """q(s | word): per-word (pos, neg, neu) probability triples."""
 
     probs: dict[str, tuple[float, float, float]]
-    duplicates: int = 0
 
     def __contains__(self, word: str) -> bool:
         return word.lower() in self.probs
@@ -91,10 +90,9 @@ def load_sentiment_lexicon(path: str | Path) -> SentimentPrior:
     """Load ``word<TAB>alpha_pos<TAB>alpha_neg<TAB>alpha_neu`` concentrations.
 
     q(s | word) is the Dirichlet mean alpha_s / sum(alpha).  Concentrations
-    must be positive and finite.  Duplicate words: last row wins, counted.
+    must be positive and finite.  Duplicate words: last row wins.
     """
     probs: dict[str, tuple[float, float, float]] = {}
-    duplicates = 0
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -111,10 +109,8 @@ def load_sentiment_lexicon(path: str | Path) -> SentimentPrior:
             total = sum(alphas)
             if not (min(alphas) > 0 and total < math.inf):  # NaN fails too
                 raise DataError(f"{path}:{lineno}: concentrations for {word!r} must be positive and finite")
-            if word in probs:
-                duplicates += 1
             probs[word] = (alphas[0] / total, alphas[1] / total, alphas[2] / total)
-    return SentimentPrior(probs=probs, duplicates=duplicates)
+    return SentimentPrior(probs=probs)
 
 
 @dataclass(frozen=True)
@@ -123,7 +119,6 @@ class SenseInventory:
 
     kind: SenseKind
     weights: dict[str, dict[str, float]]
-    duplicates: int = 0
 
     def __contains__(self, word: str) -> bool:
         return word.lower() in self.weights
@@ -139,11 +134,11 @@ def load_sense_inventory(path: str | Path, kind: SenseKind) -> SenseInventory:
     """Load ``word<TAB>sense:weight,sense:weight,...`` rows, normalizing weights.
 
     Sense names must belong to the inventory of `kind`; weights must be
-    finite and non-negative with a positive, finite sum.
+    finite and non-negative with a positive, finite sum.  Duplicate words:
+    last row wins.
     """
     valid = set(kind.senses)
     weights: dict[str, dict[str, float]] = {}
-    duplicates = 0
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -174,7 +169,5 @@ def load_sense_inventory(path: str | Path, kind: SenseKind) -> SenseInventory:
             total = sum(dist.values())
             if not 0 < total < math.inf:
                 raise DataError(f"{path}:{lineno}: sense weights for {word!r} sum to zero or overflow")
-            if word in weights:
-                duplicates += 1
             weights[word] = {name: w / total for name, w in dist.items()}
-    return SenseInventory(kind=kind, weights=weights, duplicates=duplicates)
+    return SenseInventory(kind=kind, weights=weights)

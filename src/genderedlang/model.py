@@ -419,11 +419,15 @@ def grid_train_average(table: CountTable, space: FeatureSpace, prior: SentimentP
 
     The background m is shared by construction.  Cells run independently
     (optionally in a thread pool); the average is taken in fixed grid order,
-    so the result is deterministic regardless of scheduling.
+    so the result is deterministic regardless of scheduling.  A cell listed
+    twice is a DataError.
     """
     cells = [(a, b) for a in alphas for b in betas]
     if not cells:
         raise DataError("hyperparameter grid is empty")
+    repeated = sorted({cell for cell in cells if cells.count(cell) > 1})
+    if repeated:  # `runs` keeps one result per cell, so the average must too
+        raise DataError(f"repeated grid cell(s) (alpha, beta): {repeated}")
 
     def run_cell(cell: tuple[float, float]) -> TrainResult:
         a, b = cell

@@ -57,7 +57,6 @@ class RestrictedResult:
     eta: np.ndarray
     iterations: int
     max_deviation: float
-    converged: bool
 
 
 def restricted_train(gtable: GenderCollapsedTable, max_iterations: int = 50000,
@@ -92,7 +91,7 @@ def restricted_train(gtable: GenderCollapsedTable, max_iterations: int = 50000,
             f"restricted MLE did not reach saturation tol {saturation_tol:g} "
             f"in {len(values) - 1} iterations (stop: {reason}, max deviation {dev:.3g})")
     return RestrictedResult(eta=x.reshape(p_cond.shape), iterations=len(values) - 1,
-                            max_deviation=dev, converged=True)
+                            max_deviation=dev)
 
 
 @dataclass

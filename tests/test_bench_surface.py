@@ -113,12 +113,17 @@ def _defines(stmt: ast.stmt) -> str | None:
 def test_every_public_name_has_a_caller():
     """Each public module-level function and class in the package (its __init__
     re-exports aside) is named in src/, scripts/ or perfbench/ outside its own
-    definition, so nothing is kept alive by the tests alone."""
+    definition, and each annotated class field is read there as an attribute,
+    so nothing is kept alive by the tests alone."""
     referrers = [*PACKAGE, *sorted((ROOT / "scripts").glob("*.py")),
                  *sorted((ROOT / "perfbench").glob("*.py"))]
     referenced: set[str] = set()
+    read: set[str] = set()
     for path in referrers:
-        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read.update(node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+        for stmt in tree.body:
             own = _defines(stmt)
             for node in ast.walk(stmt):
                 name = (node.id if isinstance(node, ast.Name)
@@ -131,3 +136,11 @@ def test_every_public_name_has_a_caller():
     assert len(public) >= 50
     unused = [f"{module}:{name}" for module, name in public if name not in referenced]
     assert not unused, f"public names with no caller outside the tests: {', '.join(unused)}"
+    fields = [(cls.name, stmt.target.id) for path in PACKAGE
+              for cls in ast.parse(path.read_text(encoding="utf-8")).body
+              if isinstance(cls, ast.ClassDef)
+              for stmt in cls.body
+              if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    assert len(fields) >= 30
+    unread = [f"{cls}.{name}" for cls, name in fields if name not in read]
+    assert not unread, f"class fields never read outside the tests: {', '.join(unread)}"

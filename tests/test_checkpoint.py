@@ -35,7 +35,7 @@ class TestCheckpoint:
         assert loaded.config == config
         assert loaded.fingerprint == toy_table.fingerprint()
         assert loaded.relation == "amod"
-        assert loaded.extra == {"iterations": 42}
+        assert json.loads(path.read_text())["extra"] == {"iterations": 42}
 
     def test_space_round_trips(self, toy_table, space, tmp_path):
         params = random_params(toy_table, space)
@@ -51,7 +51,7 @@ class TestCheckpoint:
         save_checkpoint(p1, params, space, TrainConfig(), "amod", "fp")
         loaded = load_checkpoint(p1)
         save_checkpoint(p2, loaded.params, loaded.space, loaded.config, loaded.fingerprint,
-                        loaded.relation, extra=loaded.extra)
+                        loaded.relation)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_garbage_rejected(self, tmp_path):

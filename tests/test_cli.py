@@ -191,6 +191,17 @@ def test_non_finite_input_is_a_data_error(trained, trained_collapsed, tmp_path, 
     assert capsys.readouterr().err.startswith("data error: ")
 
 
+@pytest.mark.parametrize("binary", ["", "zzznotaword\tbanana\n"], ids=["empty", "unknown_label"])
+def test_bad_binary_judgments_are_a_data_error(trained, tmp_path, capsys, binary):
+    (tmp_path / "j.tsv").write_text(JUDGMENTS)
+    (tmp_path / "jb.tsv").write_text(binary)
+    assert main(["report", "correlate", "--checkpoint", str(trained / "checkpoint_averaged.json"),
+                 "--judgments", str(tmp_path / "j.tsv"), "--binary-judgments",
+                 str(tmp_path / "jb.tsv"), "--permutations", "50",
+                 "--out", str(tmp_path / "c.tsv")]) == 2
+    assert capsys.readouterr().err.startswith("data error: ")
+
+
 @pytest.mark.parametrize("m0", [800.0, 1e308])
 def test_underflowing_posterior_is_a_numerical_failure(trained, tmp_path, capsys, m0):
     doc = json.loads((trained / "checkpoint_averaged.json").read_text())

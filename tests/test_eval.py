@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,11 +8,12 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genderedlang import evaluation
 from genderedlang.corpus import Gender
 from genderedlang.errors import DataError
-from genderedlang.evaluation import (correlate_judgments, permutation_test,
-                                     sense_difference_suite, sentiment_frequency, spearman,
-                                     topk)
+from genderedlang.evaluation import (_midranks, correlate_judgments, gender_posterior,
+                                     permutation_test, sense_difference_suite,
+                                     sentiment_frequency, spearman, topk)
 from genderedlang.lexicons import SENTIMENTS, SenseInventory, SenseKind, SentimentPrior
 from genderedlang.model import init_params
 
@@ -179,8 +182,68 @@ class TestPermutationTest:
         result = permutation_test(a, b, permutations=200, seed=0)
         assert 0.0 < result.p_value <= 1.0
 
+    def test_exact_hits_match_brute_force(self):
+        """Every split of the pooled values into |A| and |B|, scored one at a time."""
+        rng = np.random.default_rng(8)
+        for _ in range(60):
+            n = int(rng.integers(2, 13))
+            n_a = int(rng.integers(1, n))
+            pooled = rng.integers(0, 4, n).astype(float)  # heavy ties
+            if rng.random() < 0.3:
+                pooled = rng.normal(0, 1, n)
+            result = permutation_test(pooled[:n_a], pooled[n_a:])
+            observed = abs(pooled[:n_a].mean() - pooled[n_a:].mean())
+            hits = 0
+            for combo in itertools.combinations(range(n), n_a):
+                in_a = np.isin(np.arange(n), combo)
+                stat = abs(pooled[in_a].mean() - pooled[~in_a].mean())
+                hits += stat >= observed - 1e-12 * max(1.0, observed)
+            assert result.exact and result.permutations_used == math.comb(n, n_a)
+            assert result.p_value == hits / math.comb(n, n_a)
+
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_monte_carlo_hits_match_per_permutation_loop(self, monkeypatch, seed):
+        """Each draw is the next rng.permutation of the pooled values, whatever the block."""
+        monkeypatch.setattr(evaluation, "_BLOCK_VALUES", 100)  # 2 rows of 47 per block
+        rng = np.random.default_rng(seed)
+        a = rng.integers(0, 5, 22).astype(float)
+        b = rng.integers(1, 6, 25).astype(float)
+        result = permutation_test(a, b, permutations=301, seed=seed)
+        pooled = np.concatenate([a, b])
+        observed = abs(a.mean() - b.mean())
+        draws = np.random.default_rng(seed)
+        hits = 0
+        for _ in range(301):
+            shuffled = draws.permutation(pooled)
+            sums = shuffled[:22].sum()
+            hits += abs(sums / 22 - (pooled.sum() - sums) / 25) >= observed - 1e-12 * max(1.0, observed)
+        assert not result.exact
+        assert result.p_value == (hits + 1) / 302
+
+    def test_lopsided_exact_test_enumerates_the_smaller_group(self):
+        big = np.arange(2000.0)
+        tracemalloc.start()
+        try:
+            result = permutation_test(big, [0.5])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.exact and result.permutations_used == 2001
+        assert peak < 4_000_000  # 2,001 subsets of one value, not of 2,000
+        assert result.p_value == permutation_test([0.5], big).p_value
+
 
 class TestSpearman:
+    def test_midranks_match_scipy_rankdata(self):
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            x = rng.integers(-3, 4, n) * rng.choice([0.5, 1.0])
+            x[rng.random(n) < 0.2] = rng.choice([0.0, -0.0])
+            assert np.array_equal(_midranks(x), scipy.stats.rankdata(x, method="average"))
+        signed_zeros = np.array([0.0, -0.0, 1.0, -0.0, -1.0, 0.0])
+        assert np.array_equal(_midranks(signed_zeros), [3.5, 3.5, 6.0, 3.5, 1.0, 3.5])
+
     def test_identical_orderings(self):
         assert spearman([1, 2, 3, 4, 5], [10, 20, 30, 40, 50]) == 1.0
 
@@ -312,7 +375,30 @@ class TestSentimentFrequency:
             sentiment_frequency(params, space, prior)
 
 
+def reference_correlate_p(annotations, femaleness, permutations, seed):
+    """The null as a loop: one spearman call on each rng.permutation of the annotations."""
+    rho = spearman(annotations, femaleness)
+    rng = np.random.default_rng(seed)
+    hits = sum(abs(spearman(rng.permutation(annotations), femaleness)) >= abs(rho) - 1e-12
+               for _ in range(permutations))
+    return (hits + 1) / (permutations + 1)
+
+
 class TestCorrelateJudgments:
+    @pytest.mark.parametrize("seed", [0, 1, 5, 42])
+    def test_p_matches_per_permutation_spearman_loop(self, lexicon, space, monkeypatch, seed):
+        monkeypatch.setattr(evaluation, "_BLOCK_VALUES", 90)  # blocks of 6 rows of 15
+        rng = np.random.default_rng(seed)
+        words = [f"w{i:02d}" for i in range(15)]
+        # tied femaleness scores and tied annotations
+        params = params_with_scores(lexicon, space,
+                                    fem_scores={w: float(rng.integers(0, 4)) for w in words})
+        judgments = {w: float(rng.integers(-2, 3)) for w in words}
+        report = correlate_judgments(params, space, judgments, permutations=997, seed=seed)
+        femaleness = gender_posterior(params, space)[[params.vocab.index(w) for w in words]]
+        annotations = np.array([judgments[w] for w in words])
+        assert report.p_value == reference_correlate_p(annotations, femaleness, 997, seed)
+
     def test_perfect_encoding_gives_rho_one(self, lexicon, space):
         words = [f"w{i}" for i in range(8)]
         grades = {w: 0.5 + i for i, w in enumerate(words)}
@@ -365,4 +451,16 @@ class TestCorrelateJudgments:
         binary = {w: "f" for w in grades} | {w: "m" for w in masc}
         report = correlate_judgments(params, space, judgments, binary,
                                      permutations=200, seed=0)
+        assert report.agreement == 1.0
+
+    def test_every_binary_label_is_checked(self, lexicon, space):
+        words = [f"w{i}" for i in range(4)]
+        params = params_with_scores(lexicon, space,
+                                    fem_scores={w: float(i) for i, w in enumerate(words)})
+        judgments = {w: float(i) for i, w in enumerate(words)}
+        for binary in ({"zzznotaword": "banana"}, {"w0": "F", "w1": "x"}):
+            with pytest.raises(DataError, match="unknown binary gender label"):
+                correlate_judgments(params, space, judgments, binary, permutations=10)
+        report = correlate_judgments(params, space, judgments, {"W3": "Female", "w0": "masc"},
+                                     permutations=10)
         assert report.agreement == 1.0

@@ -41,11 +41,10 @@ class TestSentimentLexicon:
         with pytest.raises(DataError, match="'weird'.*finite"):
             load_sentiment_lexicon(path)
 
-    def test_duplicates_last_wins_with_counter(self, tmp_path):
+    def test_duplicate_word_last_row_wins(self, tmp_path):
         path = tmp_path / "s.tsv"
         path.write_text("x\t1\t1\t1\nx\t8\t1\t1\n")
         prior = load_sentiment_lexicon(path)
-        assert prior.duplicates == 1
         assert prior.get("x") == (0.8, 0.1, 0.1)
 
     def test_case_folded_lookup(self, toy_prior):
@@ -116,9 +115,8 @@ class TestSenseInventory:
             assert min(dist.values()) >= 0
             assert set(dist) <= set(ADJECTIVE_SENSES)
 
-    def test_duplicates_counted(self, tmp_path):
+    def test_duplicate_word_last_row_wins(self, tmp_path):
         path = tmp_path / "inv.tsv"
         path.write_text("x\tbody:1\nx\tmind:1\n")
         inv = load_sense_inventory(path, SenseKind.ADJ)
-        assert inv.duplicates == 1
         assert inv.get("x") == {"mind": 1.0}

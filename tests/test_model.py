@@ -438,12 +438,11 @@ class TestGrid:
         assert np.array_equal(grid.params.omega, single.params.omega)
         assert np.array_equal(grid.params.xi, single.params.xi)
 
-    def test_average_of_identical_runs_is_identity(self, toy_table, space, toy_prior):
-        base = TrainConfig(max_iterations=200)
-        grid = grid_train_average(toy_table, space, toy_prior, [1e-3], [0.5, 0.5], base)
-        one = train(toy_table, space, toy_prior,
-                    TrainConfig(alpha=1e-3, beta=0.5, max_iterations=200))
-        assert np.allclose(grid.params.eta, one.params.eta, atol=1e-15)
+    def test_repeated_cell_rejected(self, toy_table, space, toy_prior):
+        # `runs` keeps one result per cell, so a repeat would be weighted twice in the average
+        with pytest.raises(DataError, match=r"repeated grid cell.*\(0\.0, 0\.5\)"):
+            grid_train_average(toy_table, space, toy_prior, [0.0, 0.0, 1e-3], [0.5],
+                               TrainConfig())
 
     def test_mean_matches_manual_recompute(self, toy_table, space, toy_prior):
         base = TrainConfig(max_iterations=200)

@@ -91,7 +91,6 @@ class TestRestrictedTrain:
             counts[(f"w{i:02d}", Gender.FEM)] = int(rng.integers(1, 400))
         t = gtable(counts)
         result = restricted_train(t, saturation_tol=1e-7)
-        assert result.converged
         assert result.max_deviation <= 1e-7
 
     def test_zero_cells_saturate(self):
@@ -103,7 +102,6 @@ class TestRestrictedTrain:
         counts[rows, rows % 2] = 0
         t = GenderCollapsedTable(matrix=counts, vocab=tuple(f"w{i:03d}" for i in range(200)))
         result = restricted_train(t, saturation_tol=1e-8)
-        assert result.converged
         assert result.max_deviation <= 1e-8
         p_cond = counts / counts.sum(axis=0)
         z = np.log(counts.sum(axis=1) / counts.sum())[:, None] + result.eta
