@@ -60,31 +60,80 @@ class TestResult:
     mean_b: float
 
 
-# A resampling block holds at most this many values (512 KiB), so it stays in
+# A resampling block holds at most this many indices (512 KiB), so it stays in
 # cache at any group size; the draws do not depend on it.
 _BLOCK_VALUES = 1 << 16
 
 
-def _shuffles(values: np.ndarray, permutations: int, seed: int):
-    """Row blocks of shuffled `values`, `permutations` rows in all: row i is
-    the i-th successive ``default_rng(seed).permutation(values)``."""
+def _shuffles(n: int, permutations: int, seed: int):
+    """Row blocks of shuffled indices ``range(n)``, `permutations` rows in all:
+    row i is the i-th successive ``default_rng(seed).permutation(n)``."""
     rng = np.random.default_rng(seed)
-    rows = max(1, _BLOCK_VALUES // values.size)
+    rows = max(1, _BLOCK_VALUES // n)
     for start in range(0, permutations, rows):
-        block = np.tile(values, (min(rows, permutations - start), 1))
+        block = np.tile(np.arange(n), (min(rows, permutations - start), 1))
         rng.permuted(block, axis=1, out=block)
         yield block
 
 
-def _relabelings(pooled: np.ndarray, k: int):
-    """Row blocks of `pooled` at each k-subset of its indices, in
-    ``itertools.combinations`` order."""
-    combos = itertools.combinations(range(pooled.size), k)
+def _relabelings(n: int, k: int):
+    """Row blocks of the k-subsets of ``range(n)``, in ``itertools.combinations``
+    order."""
+    combos = itertools.combinations(range(n), k)
     rows = max(1, _BLOCK_VALUES // k)
-    for _ in range(0, math.comb(pooled.size, k), rows):
+    for _ in range(0, math.comb(n, k), rows):
         idx = np.fromiter(itertools.chain.from_iterable(itertools.islice(combos, rows)),
                           dtype=np.intp)
-        yield pooled[idx.reshape(-1, k)]
+        yield idx.reshape(-1, k)
+
+
+def _permutation_tests(a: np.ndarray, b: np.ndarray, permutations: int, seed: int,
+                       alpha: float) -> list[TestResult]:
+    """One unpaired permutation test of |mean(A) - mean(B)| per column of the
+    (n_a, C) and (n_b, C) groups, every column scored on the same draws.
+
+    Each column's result is what `permutation_test` gives for that column pair.
+    """
+    if len(a) == 0 or len(b) == 0:
+        raise DataError("both groups must be non-empty")
+    n_a, n = len(a), len(a) + len(b)
+    # (C, n): each column's pooled values on one contiguous row, so every sum
+    # below runs in the same order as on a 1-D group
+    pooled = np.ascontiguousarray(np.concatenate([a, b]).T)
+    # max |x| * n bounds every subset sum, so no mean or statistic below can overflow
+    if not float(np.abs(pooled).max()) * n < math.inf:  # NaN fails too
+        raise DataError("group values must be finite and small enough that no sum overflows")
+    mean_a, mean_b = pooled[:, :n_a].mean(axis=1), pooled[:, n_a:].mean(axis=1)
+    observed = np.abs(mean_a - mean_b)
+    sum_all = pooled.sum(axis=1)
+    # Tiny slack absorbs last-ulp differences between the observed statistic
+    # and the identical relabeling reached through a different summation order.
+    threshold = observed - 1e-12 * np.maximum(1.0, observed)
+
+    # The statistic is symmetric in the groups, so the exact test enumerates
+    # the subsets of the smaller one: C(n, k) rows of k indices each.
+    k = min(n_a, n - n_a)
+    total = math.comb(n, k)
+    exact = total <= 1_000_000
+    if exact:
+        blocks, used, add_one = _relabelings(n, k), total, 0
+    elif permutations <= 0:
+        raise DataError("permutations must be positive for Monte Carlo testing")
+    else:
+        k = n_a  # the first |A| indices of each shuffle are relabeled A
+        blocks, used, add_one = _shuffles(n, permutations, seed), permutations, 1
+    hits = np.zeros(len(pooled), dtype=np.int64)
+    for block in blocks:
+        chosen = block[:, :k]
+        for c, row in enumerate(pooled):
+            sums = row[chosen].sum(axis=1)
+            hits[c] += np.count_nonzero(np.abs(sums / k - (sum_all[c] - sums) / (n - k))
+                                        >= threshold[c])
+    p = (hits + add_one) / (used + add_one)
+    return [TestResult(statistic=float(observed[c]), p_value=float(p[c]), corrected_alpha=alpha,
+                       significant=bool(p[c] < alpha), permutations_used=used, exact=exact,
+                       mean_a=float(mean_a[c]), mean_b=float(mean_b[c]))
+            for c in range(len(pooled))]
 
 
 def permutation_test(group_a, group_b, permutations: int = 100_000, seed: int = 0,
@@ -98,48 +147,11 @@ def permutation_test(group_a, group_b, permutations: int = 100_000, seed: int = 
     """
     a = np.asarray(list(group_a), dtype=float)
     b = np.asarray(list(group_b), dtype=float)
-    if a.size == 0 or b.size == 0:
-        raise DataError("both groups must be non-empty")
-    pooled = np.concatenate([a, b])
-    # max |x| * n bounds every subset sum, so no mean or statistic below can overflow
-    if not float(np.abs(pooled).max()) * pooled.size < math.inf:  # NaN fails too
-        raise DataError("group values must be finite and small enough that no sum overflows")
-    observed = abs(float(a.mean()) - float(b.mean()))
-    n = pooled.size
-    sum_all = float(pooled.sum())
-    # Tiny slack absorbs last-ulp differences between the observed statistic
-    # and the identical relabeling reached through a different summation order.
-    threshold = observed - 1e-12 * max(1.0, observed)
-
-    # The statistic is symmetric in the groups, so the exact test enumerates
-    # the subsets of the smaller one: C(n, k) rows of k values each.
-    k = min(a.size, b.size)
-    total = math.comb(n, k)
-    exact = total <= 1_000_000
-    if exact:
-        blocks, used, add_one = _relabelings(pooled, k), total, 0
-    elif permutations <= 0:
-        raise DataError("permutations must be positive for Monte Carlo testing")
-    else:
-        k = a.size  # the first |A| values of each shuffle are relabeled A
-        blocks, used, add_one = _shuffles(pooled, permutations, seed), permutations, 1
-    hits = 0
-    for block in blocks:
-        sums = block[:, :k].sum(axis=1)
-        hits += int((np.abs(sums / k - (sum_all - sums) / (n - k)) >= threshold).sum())
-    p = (hits + add_one) / (used + add_one)
-    return TestResult(statistic=observed, p_value=p, corrected_alpha=alpha,
-                      significant=p < alpha, permutations_used=used, exact=exact,
-                      mean_a=float(a.mean()), mean_b=float(b.mean()))
+    return _permutation_tests(a[:, None], b[:, None], permutations, seed, alpha)[0]
 
 
 # ---------------------------------------------------------------------------
 # Sense and sentiment suites
-
-
-def _test_seeds(seed: int, n_tests: int) -> list[int]:
-    """One permutation seed per test of a suite, spawned from the suite's seed."""
-    return [int(ss.generate_state(1)[0]) for ss in np.random.SeedSequence(seed).spawn(n_tests)]
 
 
 @dataclass(frozen=True)
@@ -152,8 +164,8 @@ class SenseTestRow:
 
 
 def _sense_groups(params: ModelParams, space: FeatureSpace, inventory: SenseInventory,
-                  gender: Gender, sentiments, k: int) -> dict[str, list[float]]:
-    """Per-sense weight lists for the covered words of pooled top-k lists."""
+                  gender: Gender, sentiments, k: int) -> np.ndarray:
+    """(covered words, senses) weights of the covered words of pooled top-k lists."""
     words: list[str] = []
     seen: set[str] = set()
     for sentiment in sentiments:
@@ -164,11 +176,8 @@ def _sense_groups(params: ModelParams, space: FeatureSpace, inventory: SenseInve
             if word not in seen:
                 seen.add(word)
                 words.append(word)
-    covered = [w for w in words if w in inventory]
-    return {
-        sense: [inventory.get(w).get(sense, 0.0) for w in covered]
-        for sense in inventory.kind.senses
-    }
+    return np.array([[inventory.get(w).get(sense, 0.0) for sense in inventory.kind.senses]
+                     for w in words if w in inventory], dtype=float)
 
 
 def sense_difference_suite(params: ModelParams, space: FeatureSpace,
@@ -179,7 +188,8 @@ def sense_difference_suite(params: ModelParams, space: FeatureSpace,
 
     Each sentiment's tests are Bonferroni-corrected across the sense set;
     when the full model is used a pooled variant over all sentiments is
-    appended with label "all".
+    appended with label "all".  A family's tests share one permutation
+    stream drawn from `seed`; Bonferroni is unchanged.
     """
     if params.n_sentiments == 3:
         groupings: list[tuple[str, tuple]] = [(s.value, (s,)) for s in SENTIMENTS]
@@ -187,21 +197,14 @@ def sense_difference_suite(params: ModelParams, space: FeatureSpace,
     else:
         groupings = [("none", (None,))]
     corrected = alpha / len(inventory.kind.senses)
-    n_tests = len(groupings) * len(inventory.kind.senses)
-    seeds = _test_seeds(seed, n_tests)
-
     rows: list[SenseTestRow] = []
-    i = 0
     for label, sentiments in groupings:
         masc = _sense_groups(params, space, inventory, Gender.MASC, sentiments, k)
         fem = _sense_groups(params, space, inventory, Gender.FEM, sentiments, k)
-        for sense in inventory.kind.senses:
-            result = permutation_test(masc[sense], fem[sense], permutations=permutations,
-                                      seed=seeds[i], alpha=corrected)
-            rows.append(SenseTestRow(sentiment=label, sense=sense,
-                                     freq_masc=result.mean_a, freq_fem=result.mean_b,
-                                     result=result))
-            i += 1
+        results = _permutation_tests(masc, fem, permutations, seed, corrected)
+        rows.extend(SenseTestRow(sentiment=label, sense=sense, freq_masc=result.mean_a,
+                                 freq_fem=result.mean_b, result=result)
+                    for sense, result in zip(inventory.kind.senses, results))
     return rows
 
 
@@ -218,11 +221,13 @@ def sentiment_frequency(params: ModelParams, space: FeatureSpace, prior: Sentime
 
     For each gender, the top-k deviation list is scored by the external
     prior: frequency of sentiment s is the mean q(s | word) over covered
-    words, tested male-vs-female per sentiment at alpha / 3.
+    words, tested male-vs-female per sentiment at alpha / 3.  A family's
+    tests share one permutation stream drawn from `seed`; Bonferroni is
+    unchanged.
     """
     if params.n_sentiments != 1:
         raise DataError("sentiment-frequency analysis requires the sentiment-collapsed model")
-    groups: dict[Gender, list[tuple[float, float, float]]] = {}
+    groups: dict[Gender, np.ndarray] = {}
     frequencies: dict[Gender, tuple[float, float, float]] = {}
     for gender in (Gender.MASC, Gender.FEM):
         ranked = topk(params, space, gender, None, k)
@@ -230,18 +235,12 @@ def sentiment_frequency(params: ModelParams, space: FeatureSpace, prior: Sentime
         triples = [t for t in triples if t is not None]
         if not triples:
             raise DataError(f"no {gender.value} top-k entries in the sentiment lexicon")
-        groups[gender] = triples
-        arr = np.asarray(triples)
-        frequencies[gender] = tuple(float(x) for x in arr.mean(axis=0))
-    corrected = alpha / 3.0
-    seeds = _test_seeds(seed, 3)
-    tests = {}
-    for j, sentiment in enumerate(SENTIMENTS):
-        tests[sentiment] = permutation_test(
-            [t[j] for t in groups[Gender.MASC]],
-            [t[j] for t in groups[Gender.FEM]],
-            permutations=permutations, seed=seeds[j], alpha=corrected)
-    return SentimentFrequencyReport(frequencies=frequencies, tests=tests)
+        groups[gender] = np.asarray(triples, dtype=float)
+        frequencies[gender] = tuple(float(x) for x in groups[gender].mean(axis=0))
+    results = _permutation_tests(groups[Gender.MASC], groups[Gender.FEM], permutations,
+                                 seed, alpha / 3.0)
+    return SentimentFrequencyReport(frequencies=frequencies,
+                                    tests=dict(zip(SENTIMENTS, results)))
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +280,7 @@ def spearman(x, y) -> float:
 def gender_posterior(params: ModelParams, space: FeatureSpace) -> np.ndarray:
     """p(FEM | v) for every vocabulary word, by summing the joint over forms."""
     fw = _forward(params, space.feature_matrix(params.forms))
-    fem_cols = np.array([space.gender_of(form) is Gender.FEM for form in params.forms])
+    fem_cols = fw.F[:, space.fem_index] == 1.0
     fem_mass = fw.M[:, :, fem_cols].sum(axis=(1, 2))
     if not np.all((fw.rho > 0) & (fw.rho < np.inf)):  # else fem_mass / rho is not finite
         raise NumericalError("gender posterior is not finite: a word's joint mass is 0 or inf")
@@ -315,12 +314,12 @@ def correlate_judgments(params: ModelParams, space: FeatureSpace,
     correlated for audit; None when that score is constant.
     """
     v_idx = {v: i for i, v in enumerate(params.vocab)}
-    overlap = sorted(w.lower() for w in judgments if w.lower() in v_idx)
+    lowered = {w.lower(): v for w, v in judgments.items()}  # case variants: the last wins
+    overlap = sorted(w for w in lowered if w in v_idx)
     if len(overlap) < 3:
-        missing = sorted(w.lower() for w in judgments if w.lower() not in v_idx)
+        missing = sorted(w for w in lowered if w not in v_idx)
         raise DataError(f"need at least 3 overlapping words, got {len(overlap)}; "
                         f"missing from vocabulary: {', '.join(missing) or 'none'}")
-    lowered = {w.lower(): v for w, v in judgments.items()}
     annotations = np.array([lowered[w] for w in overlap])
     posterior = gender_posterior(params, space)
     femaleness = np.array([posterior[v_idx[w]] for w in overlap])
@@ -333,8 +332,8 @@ def correlate_judgments(params: ModelParams, space: FeatureSpace,
     # what spearman returns for that permutation, in any summation order.
     dx, dy = _centred_ranks(annotations), _centred_ranks(femaleness)
     scale = math.sqrt(float(dx @ dx) * float(dy @ dy))
-    hits = sum(int((np.abs(block @ dy / scale) >= abs(rho) - 1e-12).sum())
-               for block in _shuffles(dx, permutations, seed))
+    hits = sum(int((np.abs(dx[block] @ dy / scale) >= abs(rho) - 1e-12).sum())
+               for block in _shuffles(dx.size, permutations, seed))
     p_value = (hits + 1) / (permutations + 1)
 
     agreement = math.nan

@@ -71,9 +71,6 @@ class FeatureSpace:
         np.put_along_axis(F, idx, 1.0, axis=1)
         return F
 
-    def gender_of(self, form: str) -> Gender:
-        return Gender.MASC if self._bits(form)[1] == self.masc_index else Gender.FEM
-
 
 @dataclass
 class ModelParams:

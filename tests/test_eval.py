@@ -203,22 +203,25 @@ class TestPermutationTest:
 
     @pytest.mark.parametrize("seed", [0, 3, 11])
     def test_monte_carlo_hits_match_per_permutation_loop(self, monkeypatch, seed):
-        """Each draw is the next rng.permutation of the pooled values, whatever the block."""
+        """Each draw is the next rng.permutation of the pooled rows, whatever the block;
+        both columns of a 2-column family are scored on that same draw."""
         monkeypatch.setattr(evaluation, "_BLOCK_VALUES", 100)  # 2 rows of 47 per block
         rng = np.random.default_rng(seed)
-        a = rng.integers(0, 5, 22).astype(float)
-        b = rng.integers(1, 6, 25).astype(float)
-        result = permutation_test(a, b, permutations=301, seed=seed)
+        a = rng.integers(0, 5, (22, 2)).astype(float)
+        b = rng.integers(1, 6, (25, 2)).astype(float)
+        results = evaluation._permutation_tests(a, b, 301, seed, 0.05)
         pooled = np.concatenate([a, b])
-        observed = abs(a.mean() - b.mean())
+        observed = abs(a.mean(axis=0) - b.mean(axis=0))
+        threshold = observed - 1e-12 * np.maximum(1.0, observed)
         draws = np.random.default_rng(seed)
-        hits = 0
+        hits = np.zeros(2, dtype=int)
         for _ in range(301):
             shuffled = draws.permutation(pooled)
-            sums = shuffled[:22].sum()
-            hits += abs(sums / 22 - (pooled.sum() - sums) / 25) >= observed - 1e-12 * max(1.0, observed)
-        assert not result.exact
-        assert result.p_value == (hits + 1) / 302
+            sums = shuffled[:22].sum(axis=0)
+            hits += abs(sums / 22 - (pooled.sum(axis=0) - sums) / 25) >= threshold
+        assert not any(r.exact for r in results)
+        assert [r.p_value for r in results] == list((hits + 1) / 302)
+        assert permutation_test(a[:, 0], b[:, 0], permutations=301, seed=seed) == results[0]
 
     def test_lopsided_exact_test_enumerates_the_smaller_group(self):
         big = np.arange(2000.0)
@@ -337,6 +340,31 @@ class TestSenseSuite:
         assert len(rows) == 4 * 13
 
 
+    @pytest.mark.parametrize("k", [4, 20])
+    def test_rows_match_permutation_test_on_their_columns(self, lexicon, space, monkeypatch, k):
+        """A grouping's sense tests share one stream: each row is permutation_test on
+        its own column pair with the suite's seed (k=4 exact, k=20 Monte Carlo)."""
+        monkeypatch.setattr(evaluation, "_BLOCK_VALUES", 100)  # blocks split in both regimes
+        params, inv = self.build(lexicon, space)
+        rows = sense_difference_suite(params, space, inv, k=k, permutations=301, seed=7)
+        groupings = {"pos": [POS], "neg": [NEG], "neu": [NEU], "all": SENTIMENTS}
+
+        def column(gender, sentiments, sense):
+            words = dict.fromkeys(w for s in sentiments
+                                  for w, _ in topk(params, space, gender, s, k).entries)
+            return [inv.get(w).get(sense, 0.0) for w in words if w in inv]
+
+        assert len(rows) == 4 * 13
+        for row in rows:
+            sentiments = groupings[row.sentiment]
+            want = permutation_test(column(Gender.MASC, sentiments, row.sense),
+                                    column(Gender.FEM, sentiments, row.sense),
+                                    permutations=301, seed=7, alpha=0.05 / 13)
+            assert row.result == want  # every field, floats bit for bit
+            assert (row.freq_masc, row.freq_fem) == (want.mean_a, want.mean_b)
+        assert {r.result.exact for r in rows} == {k == 4}
+
+
 class TestSentimentFrequency:
     def test_degenerate_prior(self, lexicon, space):
         vocab = [f"w{i}" for i in range(8)]
@@ -368,6 +396,28 @@ class TestSentimentFrequency:
         assert report.tests[POS].significant
         assert report.frequencies[Gender.FEM][0] > report.frequencies[Gender.MASC][0]
 
+    @pytest.mark.parametrize("k", [5, 12])
+    def test_tests_match_permutation_test_on_their_columns(self, lexicon, space, monkeypatch, k):
+        """The three sentiment tests share one stream: each is permutation_test on its
+        own column pair with the suite's seed (k=5 exact, k=12 Monte Carlo)."""
+        monkeypatch.setattr(evaluation, "_BLOCK_VALUES", 100)  # blocks split in both regimes
+        words = [f"w{i:02d}" for i in range(24)]
+        rng = np.random.default_rng(12)
+        params = params_with_scores(lexicon, space, vocab=words, n_sentiments=1,
+                                    fem_scores={w: rng.uniform(0, 2) for w in words},
+                                    masc_scores={w: rng.uniform(0, 2) for w in words})
+        prior = SentimentPrior(probs={w: tuple(rng.dirichlet([1.0, 1.0, 1.0]))
+                                      for w in words[1:]})
+        report = sentiment_frequency(params, space, prior, k=k, permutations=301, seed=7)
+        groups = {g: [prior.get(w) for w, _ in topk(params, space, g, None, k).entries
+                      if prior.get(w) is not None] for g in (Gender.MASC, Gender.FEM)}
+        for j, sentiment in enumerate(SENTIMENTS):
+            want = permutation_test([t[j] for t in groups[Gender.MASC]],
+                                    [t[j] for t in groups[Gender.FEM]],
+                                    permutations=301, seed=7, alpha=0.05 / 3)
+            assert report.tests[sentiment] == want  # every field, floats bit for bit
+            assert want.exact == (k == 5)
+
     def test_requires_collapsed_model(self, lexicon, space):
         params = params_with_scores(lexicon, space, vocab=["a", "b", "c"], n_sentiments=3)
         prior = SentimentPrior(probs={"a": (1 / 3,) * 3})
@@ -385,6 +435,18 @@ def reference_correlate_p(annotations, femaleness, permutations, seed):
 
 
 class TestCorrelateJudgments:
+    def test_case_variants_count_once_and_the_last_wins(self, lexicon, space):
+        words = [f"w{i}" for i in range(4)]
+        params = params_with_scores(lexicon, space,
+                                    fem_scores={w: float(i) for i, w in enumerate(words)})
+        judgments = {w: float(i) for i, w in enumerate(words)}
+        assert correlate_judgments(params, space, judgments, permutations=10).rho == 1.0
+        mixed = correlate_judgments(params, space, judgments | {"W0": 9.0}, permutations=10)
+        lowered = correlate_judgments(params, space, judgments | {"w0": 9.0}, permutations=10)
+        assert mixed.n == 4
+        assert (mixed.rho, mixed.p_value) == (lowered.rho, lowered.p_value)
+
+
     @pytest.mark.parametrize("seed", [0, 1, 5, 42])
     def test_p_matches_per_permutation_spearman_loop(self, lexicon, space, monkeypatch, seed):
         monkeypatch.setattr(evaluation, "_BLOCK_VALUES", 90)  # blocks of 6 rows of 15
