@@ -82,9 +82,10 @@ def save_checkpoint(path: str | Path, params: ModelParams, space: FeatureSpace,
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read a checkpoint; any malformed or inconsistent document is a DataError."""
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        return _from_doc(json.loads(text))
+        return _from_doc(json.loads(Path(path).read_text(encoding="utf-8")))
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not UTF-8 text") from None
     except (json.JSONDecodeError, RecursionError) as err:
         raise DataError(f"{path}: not a valid checkpoint: {err}") from None
     except DataError as err:

@@ -17,7 +17,7 @@ from . import checkpoint as ckpt
 from . import evaluation as ev
 from .corpus import (Gender, IngestStats, Relation, aggregate_by_relation, aggregate_counts,
                      bundled_lexicon_path, gender_marginals, iter_arcs, iter_canonical,
-                     load_gender_lexicon, write_canonical)
+                     load_gender_lexicon, read_lines, read_rows, write_canonical)
 from .pmi import collapse_by_gender, pmi_table, prop1_check
 from .errors import DataError, NumericalError, UsageError
 from .lexicons import (SENTIMENTS, SenseKind, load_sense_inventory, load_sentiment_lexicon)
@@ -34,24 +34,37 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _checked(kind, accepts, what: str):
+    """An argparse ``type=``: the token as `kind`, a usage error unless `accepts(value)`."""
+    def parse(token: str):
+        value = kind(token)
+        if not accepts(value):  # NaN fails every comparison
+            raise argparse.ArgumentTypeError(f"must be {what}, got {token!r}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value: 'x'"
+    return parse
+
+
+_POSITIVE_INT = _checked(int, lambda v: v > 0, "positive")
+_POSITIVE_FLOAT = _checked(float, lambda v: v > 0, "positive")
+_SEED = _checked(int, lambda v: v >= 0, "non-negative")
+
+
 def _parse_grid(token: str) -> list[float]:
     try:
         values = [float(v) for v in token.split(",") if v.strip() != ""]
     except ValueError:
-        raise UsageError(f"bad grid {token!r}: expected comma-separated floats") from None
+        raise argparse.ArgumentTypeError(
+            f"bad grid {token!r}: expected comma-separated floats") from None
     if not values:
-        raise UsageError("grids must be non-empty")
+        raise argparse.ArgumentTypeError("grids must be non-empty")
     if not all(v >= 0 for v in values):  # NaN fails too
-        raise UsageError("grid values must be non-negative")
+        raise argparse.ArgumentTypeError("grid values must be non-negative")
     tags = [f"{v:g}" for v in values]  # cell files are named by these tags
     if len(set(tags)) < len(tags):
-        raise UsageError(f"bad grid {token!r}: values must differ within 6 significant digits")
+        raise argparse.ArgumentTypeError(
+            f"bad grid {token!r}: values must differ within 6 significant digits")
     return values
-
-
-def _require_positive(args, name: str) -> None:
-    if not getattr(args, name) > 0:  # NaN fails too
-        raise UsageError(f"--{name.replace('_', '-')} must be positive")
 
 
 def _load_lexicon(args) -> "GenderLexicon":
@@ -109,15 +122,12 @@ def _load_table(corpus: str, relation: Relation, lex) -> "CountTable":
 
 
 def cmd_train(args) -> int:
-    for name in ("tolerance", "max_iterations", "jobs"):
-        _require_positive(args, name)
     lex = _load_lexicon(args)
     relation = Relation(args.relation)
     table = _load_table(args.corpus, relation, lex)
     space = FeatureSpace.from_lexicon(lex)
 
-    alphas = _parse_grid(args.alpha_grid)
-    betas = _parse_grid(args.beta_grid) if args.beta_grid else [0.0]
+    alphas, betas = args.alpha_grid, args.beta_grid
     if args.no_sentiment and any(b > 0 for b in betas):
         raise UsageError("--no-sentiment is incompatible with a non-zero beta grid")
     n_sentiments = 1 if args.no_sentiment else 3
@@ -159,7 +169,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_report_topk(args) -> int:
-    _require_positive(args, "k")
     loaded = ckpt.load_checkpoint(args.checkpoint)
     sentiments = list(SENTIMENTS) if loaded.params.n_sentiments == 3 else [None]
     rows = []
@@ -188,8 +197,6 @@ def cmd_report_pmi(args) -> int:
 
 
 def cmd_report_senses(args) -> int:
-    _require_positive(args, "k")
-    _require_positive(args, "permutations")
     loaded = ckpt.load_checkpoint(args.checkpoint)
     inventory = load_sense_inventory(args.inventory, SenseKind(args.kind))
     rows_out = []
@@ -204,8 +211,6 @@ def cmd_report_senses(args) -> int:
 
 
 def cmd_report_sentiment(args) -> int:
-    _require_positive(args, "k")
-    _require_positive(args, "permutations")
     loaded = ckpt.load_checkpoint(args.checkpoint)
     prior = load_sentiment_lexicon(args.sentiment_lexicon)
     report = ev.sentiment_frequency(loaded.params, loaded.space, prior, k=args.k,
@@ -224,24 +229,17 @@ def cmd_report_sentiment(args) -> int:
 def _read_judgments(path: str, convert) -> dict:
     """``word<TAB>value`` rows as {lower-cased word: convert(value)}."""
     out = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != 2:
-                raise DataError(f"{path}:{lineno}: expected 2 columns")
-            try:
-                out[fields[0].strip().lower()] = convert(fields[1])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: non-numeric judgment {fields[1]!r}") from None
+    for lineno, (word, value) in read_rows(path, 2):
+        try:
+            out[word.strip().lower()] = convert(value)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: non-numeric judgment {value!r}") from None
     if not out:
         raise DataError(f"{path}: empty judgments file")
     return out
 
 
 def cmd_report_correlate(args) -> int:
-    _require_positive(args, "permutations")
     loaded = ckpt.load_checkpoint(args.checkpoint)
     judgments = _read_judgments(args.judgments, float)
     binary = _read_judgments(args.binary_judgments, str) if args.binary_judgments else None
@@ -259,26 +257,17 @@ def cmd_report_correlate(args) -> int:
 
 def _read_values(path: str) -> list[float]:
     values = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            token = line.strip()
-            if not token:
-                continue
-            try:
-                values.append(float(token))
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: non-numeric value {token!r}") from None
+    for lineno, (token,) in read_rows(path, 1):
+        try:
+            values.append(float(token))
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: non-numeric value {token!r}") from None
     if not values:
         raise DataError(f"{path}: no values")
     return values
 
 
 def cmd_report_permtest(args) -> int:
-    _require_positive(args, "permutations")
-    if args.tests <= 0:
-        raise UsageError("--tests must be positive")
-    if not 0 < args.alpha < 1:  # NaN fails too
-        raise UsageError("--alpha must be in (0, 1)")
     result = ev.permutation_test(_read_values(args.group_a), _read_values(args.group_b),
                                  permutations=args.permutations, seed=args.seed,
                                  alpha=args.alpha / args.tests)
@@ -292,8 +281,6 @@ def cmd_report_permtest(args) -> int:
 
 
 def cmd_report_prop1(args) -> int:
-    for name in ("max_iterations", "saturation_tol"):
-        _require_positive(args, name)
     lex = _load_lexicon(args)
     table = _load_table(args.corpus, Relation(args.relation), lex)
     gtable = collapse_by_gender(table, lex)
@@ -310,11 +297,6 @@ def cmd_report_prop1(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    if args.vocab_size < 12:
-        raise UsageError("--vocab-size must be at least 12")
-    _require_positive(args, "n_pairs")
-    if not 0 <= args.planted_body_fem <= MAX_PLANTED_BODY_FEM:  # NaN fails too
-        raise UsageError(f"--planted-body-fem must be in [0, {MAX_PLANTED_BODY_FEM}]")
     lex = _load_lexicon(args)
     config = SynthConfig(seed=args.seed, vocab_size=args.vocab_size, n_pairs=args.n_pairs,
                          planted_body_fem=args.planted_body_fem, kind=SenseKind(args.kind),
@@ -353,22 +335,21 @@ def _expand_config(argv: list[str]) -> list[str]:
             out.append(argv[i])
             i += 1
     tokens = []
-    with open(config_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DataError(f"{config_path}:{lineno}: expected key=value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            key = key.replace("_", "-")
-            if key.replace("-", "_") in _BOOL_KEYS:
-                if value.lower() in ("true", "1", "yes"):
-                    tokens.append(f"--{key}")
-                elif value.lower() not in ("false", "0", "no"):
-                    raise DataError(f"{config_path}:{lineno}: bad boolean {value!r}")
-            else:
-                tokens.extend([f"--{key}", value])
+    for lineno, line in read_lines(config_path):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DataError(f"{config_path}:{lineno}: expected key=value")
+        key, value = (part.strip() for part in line.split("=", 1))
+        key = key.replace("_", "-")
+        if key.replace("-", "_") in _BOOL_KEYS:
+            if value.lower() in ("true", "1", "yes"):
+                tokens.append(f"--{key}")
+            elif value.lower() not in ("false", "0", "no"):
+                raise DataError(f"{config_path}:{lineno}: bad boolean {value!r}")
+        else:
+            tokens.extend([f"--{key}", value])
     # Insert after the subcommand token(s) so explicit flags take precedence.
     n_sub = 0
     while n_sub < len(out) and not out[n_sub].startswith("-"):
@@ -402,12 +383,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--corpus", required=True, help="canonical collocation TSV")
     p.add_argument("--relation", choices=[r.value for r in Relation], required=True)
     p.add_argument("--sentiment-lexicon", default=None)
-    p.add_argument("--alpha-grid", default="0", help="comma-separated L1 weights")
-    p.add_argument("--beta-grid", default=None, help="comma-separated regularizer weights")
-    p.add_argument("--max-iterations", type=int, default=20000)
-    p.add_argument("--tolerance", type=float, default=1e-4,
+    p.add_argument("--alpha-grid", type=_parse_grid, default="0",
+                   help="comma-separated L1 weights")
+    p.add_argument("--beta-grid", type=_parse_grid, default="0",
+                   help="comma-separated regularizer weights")
+    p.add_argument("--max-iterations", type=_POSITIVE_INT, default=20000)
+    p.add_argument("--tolerance", type=_POSITIVE_FLOAT, default=1e-4,
                    help="stop once the KKT residual (projected-gradient inf-norm) is this small")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_POSITIVE_INT, default=1)
     p.add_argument("--no-sentiment", action="store_true",
                    help="collapse sentiments (S=1) and disable the regularizer")
     p.add_argument("--out", required=True)
@@ -420,7 +403,7 @@ def _build_parser() -> _Parser:
     p = rsub.add_parser("topk")
     _add_common(p, lexicon=False)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--k", type=int, default=25)
+    p.add_argument("--k", type=_POSITIVE_INT, default=25)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_report_topk)
 
@@ -436,9 +419,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--inventory", required=True)
     p.add_argument("--kind", choices=[k.value for k in SenseKind], default="adj")
-    p.add_argument("--k", type=int, default=200)
-    p.add_argument("--permutations", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--k", type=_POSITIVE_INT, default=200)
+    p.add_argument("--permutations", type=_POSITIVE_INT, default=100000)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_report_senses)
 
@@ -446,9 +429,9 @@ def _build_parser() -> _Parser:
     _add_common(p, lexicon=False)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--sentiment-lexicon", required=True)
-    p.add_argument("--k", type=int, default=200)
-    p.add_argument("--permutations", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--k", type=_POSITIVE_INT, default=200)
+    p.add_argument("--permutations", type=_POSITIVE_INT, default=100000)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_report_sentiment)
 
@@ -457,8 +440,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--judgments", required=True, help="word<TAB>score TSV")
     p.add_argument("--binary-judgments", default=None, help="word<TAB>m|f TSV")
-    p.add_argument("--permutations", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--permutations", type=_POSITIVE_INT, default=10000)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_report_correlate)
 
@@ -466,27 +449,31 @@ def _build_parser() -> _Parser:
     _add_common(p, lexicon=False)
     p.add_argument("--group-a", required=True, help="one value per line")
     p.add_argument("--group-b", required=True)
-    p.add_argument("--permutations", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--tests", type=int, default=1, help="Bonferroni divisor")
+    p.add_argument("--permutations", type=_POSITIVE_INT, default=100000)
+    p.add_argument("--seed", type=_SEED, default=0)
+    p.add_argument("--alpha", type=_checked(float, lambda v: 0 < v < 1, "in (0, 1)"),
+                   default=0.05)
+    p.add_argument("--tests", type=_POSITIVE_INT, default=1, help="Bonferroni divisor")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_report_permtest)
 
     p = rsub.add_parser("prop1")
     p.add_argument("--corpus", required=True)
     p.add_argument("--relation", choices=[r.value for r in Relation], required=True)
-    p.add_argument("--max-iterations", type=int, default=50000)
-    p.add_argument("--saturation-tol", type=float, default=1e-8)
+    p.add_argument("--max-iterations", type=_POSITIVE_INT, default=50000)
+    p.add_argument("--saturation-tol", type=_POSITIVE_FLOAT, default=1e-8)
     p.add_argument("--out", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_report_prop1)
 
     p = sub.add_parser("synth", help="generate a planted-truth synthetic corpus")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--vocab-size", type=int, default=240)
-    p.add_argument("--n-pairs", type=int, default=300000)
-    p.add_argument("--planted-body-fem", type=float, default=0.0,
+    p.add_argument("--seed", type=_SEED, default=0)
+    p.add_argument("--vocab-size", type=_checked(int, lambda v: v >= 12, "at least 12"),
+                   default=240)
+    p.add_argument("--n-pairs", type=_POSITIVE_INT, default=300000)
+    p.add_argument("--planted-body-fem", default=0.0,
+                   type=_checked(float, lambda v: 0 <= v <= MAX_PLANTED_BODY_FEM,
+                                 f"in [0, {MAX_PLANTED_BODY_FEM}]"),
                    help="mean body-sense weight added to the FEM group")
     p.add_argument("--kind", choices=[k.value for k in SenseKind], default="adj")
     p.add_argument("--relation", choices=[r.value for r in Relation], default="amod")

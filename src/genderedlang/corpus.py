@@ -75,6 +75,32 @@ class GenderLexicon:
         return tuple(sorted(self.entries))
 
 
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """(line number, line without its break) of each line of a UTF-8 text file.
+
+    Blank and whitespace-only lines, and ``#`` comments at column 0, are
+    skipped.  Bytes that are not UTF-8 are a DataError naming the file but no
+    line: decoding runs ahead of the lines, so a line number would be a guess.
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if line[0] != "#" and not line.isspace():  # a line read from a file is never ""
+                    yield lineno, line.rstrip("\n")
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: not UTF-8 text") from None
+
+
+def read_rows(path: str | Path, columns: int) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of each data line of a tab-separated file of `columns` columns."""
+    for lineno, line in read_lines(path):
+        fields = line.split("\t")
+        if len(fields) != columns:
+            raise DataError(f"{path}:{lineno}: expected {columns} tab-separated columns, "
+                            f"got {len(fields)}")
+        yield lineno, fields
+
+
 def bundled_lexicon_path() -> Path:
     """Path of the packaged gendered, animate noun list (90 forms)."""
     return Path(str(resources.files("genderedlang").joinpath("data/gendered_nouns.tsv")))
@@ -89,29 +115,22 @@ def load_gender_lexicon(path: str | Path) -> GenderLexicon:
     """
     entries: dict[str, LexiconEntry] = {}
     per_lemma: Counter[str] = Counter()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise DataError(f"{path}:{lineno}: expected 4 tab-separated columns, got {len(fields)}")
-            lemma, form, gender, number = (f.strip().lower() for f in fields)
-            try:
-                g = Gender(gender)
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: unknown gender token {gender!r} for form {form!r}") from None
-            try:
-                n = Number(number)
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: unknown number token {number!r} for form {form!r}") from None
-            if form in entries:
-                raise DataError(f"{path}:{lineno}: duplicate form {form!r}")
-            per_lemma[lemma] += 1
-            if per_lemma[lemma] > 4:
-                raise DataError(f"{path}:{lineno}: lemma {lemma!r} has more than 4 inflected forms")
-            entries[form] = LexiconEntry(lemma, g, n)
+    for lineno, fields in read_rows(path, 4):
+        lemma, form, gender, number = (f.strip().lower() for f in fields)
+        try:
+            g = Gender(gender)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: unknown gender token {gender!r} for form {form!r}") from None
+        try:
+            n = Number(number)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: unknown number token {number!r} for form {form!r}") from None
+        if form in entries:
+            raise DataError(f"{path}:{lineno}: duplicate form {form!r}")
+        per_lemma[lemma] += 1
+        if per_lemma[lemma] > 4:
+            raise DataError(f"{path}:{lineno}: lemma {lemma!r} has more than 4 inflected forms")
+        entries[form] = LexiconEntry(lemma, g, n)
     if not entries:
         raise DataError(f"{path}: empty lexicon")
     return GenderLexicon(entries=entries, lemmas=tuple(sorted(per_lemma)))
@@ -144,7 +163,7 @@ def _parse_token(token: str) -> tuple[str, str, str, int]:
 
 
 def parse_arcs_line(line: str, lex: GenderLexicon) -> list[Pair]:
-    """Extract gendered (noun form, neighbor) pairs from one arcs line.
+    """Extract gendered (noun form, neighbor) pairs from one arcs line, without its break.
 
     amod arcs attach the labeled modifier to its head noun; nsubj/dobj arcs
     attach the labeled noun to its head verb.  Pairs whose noun side is not
@@ -152,7 +171,7 @@ def parse_arcs_line(line: str, lex: GenderLexicon) -> list[Pair]:
     Structural problems raise MalformedLineError so bulk readers can skip
     the line and keep a counter.
     """
-    fields = line.rstrip("\n").split("\t")
+    fields = line.split("\t")
     if len(fields) < 3:
         raise MalformedLineError("fewer than 3 tab-separated fields")
     try:
@@ -185,47 +204,41 @@ def iter_arcs(path: str | Path, lex: GenderLexicon, stats: IngestStats | None = 
     """Stream pairs from an arcs file, skipping malformed lines."""
     if stats is None:
         stats = IngestStats()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            stats.lines += 1
-            try:
-                pairs = parse_arcs_line(line, lex)
-            except MalformedLineError:
-                stats.malformed += 1
-                continue
-            yield from pairs
+    for _, line in read_lines(path):
+        stats.lines += 1
+        try:
+            pairs = parse_arcs_line(line, lex)
+        except MalformedLineError:
+            stats.malformed += 1
+            continue
+        yield from pairs
 
 
 def iter_canonical(path: str | Path, lex: GenderLexicon, stats: IngestStats | None = None) -> Iterator[Pair]:
     """Stream pairs from canonical ``relation form neighbor count`` TSV."""
     if stats is None:
         stats = IngestStats()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            stats.lines += 1
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != 4:
-                stats.malformed += 1
-                continue
-            rel_token, form, neighbor, count_token = fields
-            try:
-                relation = Relation(rel_token.strip().lower())
-                count = int(count_token)
-            except ValueError:
-                stats.malformed += 1
-                continue
-            if count < 0:
-                stats.malformed += 1
-                continue
-            form = form.strip().lower()
-            if form not in lex:
-                stats.unknown_forms += 1
-                continue
-            yield Pair(form, neighbor.strip().lower(), relation, count)
+    for _, line in read_lines(path):
+        stats.lines += 1
+        fields = line.split("\t")
+        if len(fields) != 4:
+            stats.malformed += 1
+            continue
+        rel_token, form, neighbor, count_token = fields
+        try:
+            relation = Relation(rel_token.strip().lower())
+            count = int(count_token)
+        except ValueError:
+            stats.malformed += 1
+            continue
+        if count < 0:
+            stats.malformed += 1
+            continue
+        form = form.strip().lower()
+        if form not in lex:
+            stats.unknown_forms += 1
+            continue
+        yield Pair(form, neighbor.strip().lower(), relation, count)
 
 
 # ---------------------------------------------------------------------------

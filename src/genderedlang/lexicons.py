@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
+from .corpus import read_rows
 from .errors import DataError
 
 
@@ -93,23 +94,16 @@ def load_sentiment_lexicon(path: str | Path) -> SentimentPrior:
     must be positive and finite.  Duplicate words: last row wins.
     """
     probs: dict[str, tuple[float, float, float]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise DataError(f"{path}:{lineno}: expected 4 columns, got {len(fields)}")
-            word = fields[0].strip().lower()
-            try:
-                alphas = [float(f) for f in fields[1:]]
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: non-numeric concentration for {word!r}") from None
-            total = sum(alphas)
-            if not (min(alphas) > 0 and total < math.inf):  # NaN fails too
-                raise DataError(f"{path}:{lineno}: concentrations for {word!r} must be positive and finite")
-            probs[word] = (alphas[0] / total, alphas[1] / total, alphas[2] / total)
+    for lineno, fields in read_rows(path, 4):
+        word = fields[0].strip().lower()
+        try:
+            alphas = [float(f) for f in fields[1:]]
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: non-numeric concentration for {word!r}") from None
+        total = sum(alphas)
+        if not (min(alphas) > 0 and total < math.inf):  # NaN fails too
+            raise DataError(f"{path}:{lineno}: concentrations for {word!r} must be positive and finite")
+        probs[word] = (alphas[0] / total, alphas[1] / total, alphas[2] / total)
     return SentimentPrior(probs=probs)
 
 
@@ -139,35 +133,28 @@ def load_sense_inventory(path: str | Path, kind: SenseKind) -> SenseInventory:
     """
     valid = set(kind.senses)
     weights: dict[str, dict[str, float]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise DataError(f"{path}:{lineno}: expected 2 columns, got {len(fields)}")
-            word = fields[0].strip().lower()
-            items = [item for item in fields[1].split(",") if item.strip()]
-            if not items:
-                raise DataError(f"{path}:{lineno}: empty sense list for {word!r}")
-            dist: dict[str, float] = {}
-            for item in items:
-                name, sep, weight_token = item.partition(":")
-                name = name.strip().lower()
-                if not sep:
-                    raise DataError(f"{path}:{lineno}: malformed sense item {item!r}")
-                if name not in valid:
-                    raise DataError(f"{path}:{lineno}: unknown {kind.value} sense {name!r}")
-                try:
-                    weight = float(weight_token)
-                except ValueError:
-                    raise DataError(f"{path}:{lineno}: non-numeric weight in {item!r}") from None
-                if not 0 <= weight < math.inf:  # NaN fails too
-                    raise DataError(f"{path}:{lineno}: weight in {item!r} must be non-negative and finite")
-                dist[name] = dist.get(name, 0.0) + weight
-            total = sum(dist.values())
-            if not 0 < total < math.inf:
-                raise DataError(f"{path}:{lineno}: sense weights for {word!r} sum to zero or overflow")
-            weights[word] = {name: w / total for name, w in dist.items()}
+    for lineno, fields in read_rows(path, 2):
+        word = fields[0].strip().lower()
+        items = [item for item in fields[1].split(",") if item.strip()]
+        if not items:
+            raise DataError(f"{path}:{lineno}: empty sense list for {word!r}")
+        dist: dict[str, float] = {}
+        for item in items:
+            name, sep, weight_token = item.partition(":")
+            name = name.strip().lower()
+            if not sep:
+                raise DataError(f"{path}:{lineno}: malformed sense item {item!r}")
+            if name not in valid:
+                raise DataError(f"{path}:{lineno}: unknown {kind.value} sense {name!r}")
+            try:
+                weight = float(weight_token)
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: non-numeric weight in {item!r}") from None
+            if not 0 <= weight < math.inf:  # NaN fails too
+                raise DataError(f"{path}:{lineno}: weight in {item!r} must be non-negative and finite")
+            dist[name] = dist.get(name, 0.0) + weight
+        total = sum(dist.values())
+        if not 0 < total < math.inf:
+            raise DataError(f"{path}:{lineno}: sense weights for {word!r} sum to zero or overflow")
+        weights[word] = {name: w / total for name, w in dist.items()}
     return SenseInventory(kind=kind, weights=weights)

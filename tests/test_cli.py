@@ -4,8 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from genderedlang import model
+from genderedlang import cli, model
 from genderedlang.cli import main
+from genderedlang.corpus import bundled_lexicon_path, load_gender_lexicon
+from genderedlang.lexicons import SenseKind, load_sense_inventory, load_sentiment_lexicon
 
 from conftest import DATA
 
@@ -97,16 +99,53 @@ class TestIngest:
     ["report", "topk", "--checkpoint", "{bad}", "--out", "{out}"],
     ["train", "--config", "{bad}", "--corpus", str(DATA / "toy_corpus.tsv"),
      "--relation", "amod", "--out", "{out}"],
-], ids=["ingest", "train", "topk", "config"])
-def test_unreadable_input_is_a_data_error(tmp_path, capsys, argv, kind):
+    ["ingest", "--input", str(DATA / "toy.arcs"), "--gender-lexicon", "{bad}", "--out", "{out}"],
+    ["report", "correlate", "--checkpoint", "{full}", "--judgments", "{bad}", "--out", "{out}"],
+    ["report", "permtest", "--group-a", "{bad}", "--group-b", "{bad}", "--out", "{out}"],
+    ["report", "senses", "--checkpoint", "{full}", "--inventory", "{bad}", "--out", "{out}"],
+], ids=["ingest", "train", "topk", "config", "lexicon", "correlate", "permtest", "senses"])
+def test_unreadable_input_is_a_data_error(trained, tmp_path, capsys, argv, kind):
     bad = tmp_path / "input"
     if kind == "directory":
         bad.mkdir()
     elif kind == "non_utf8":
         bad.write_bytes(b"caf\xe9\tjolie\t1\n")
-    args = [a.format(bad=bad, out=tmp_path / "out") for a in argv]
+    args = [a.format(bad=bad, out=tmp_path / "out", full=trained / "checkpoint_averaged.json")
+            for a in argv]
     assert main(args) == 2
-    assert capsys.readouterr().err.startswith("data error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(bad) in err
+
+
+def _ingest(fmt: str):
+    """A reader that ingests a file and returns every output's bytes, stats.json included."""
+    def read(path):
+        out = path.with_name(f"{path.name}.out")
+        assert main(["ingest", "--format", fmt, "--input", str(path), "--out", str(out)]) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+    return read
+
+
+READERS = {
+    "gender_lexicon": (load_gender_lexicon, bundled_lexicon_path().read_text()),
+    "sentiment_lexicon": (load_sentiment_lexicon, (DATA / "toy_sentiment.tsv").read_text()),
+    "sense_inventory": (lambda path: load_sense_inventory(path, SenseKind.ADJ),
+                        (DATA / "toy_senses_adj.tsv").read_text()),
+    "judgments": (lambda path: cli._read_judgments(path, float),
+                  "pretty\t2.5\nbeautiful\t2.0\ngentle\t1.0\n"),
+    "values": (cli._read_values, "1.5\n2.0\n2.5\n"),
+    "canonical": (_ingest("canonical"), (DATA / "toy_corpus.tsv").read_text()),
+    "arcs": (_ingest("arcs"), (DATA / "toy.arcs").read_text()),
+}
+
+
+@pytest.mark.parametrize("reader", list(READERS))
+def test_comment_and_whitespace_lines_are_skipped_by_every_reader(tmp_path, reader):
+    read, text = READERS[reader]
+    first, rest = text.split("\n", 1)
+    (tmp_path / "clean").write_text(text)
+    (tmp_path / "noisy").write_text(f"# a comment\n{first}\n \t \n# another\t1\n{rest}")
+    assert read(tmp_path / "noisy") == read(tmp_path / "clean")
 
 
 COMMANDS = {
@@ -115,6 +154,14 @@ COMMANDS = {
     "prop1": ["report", "prop1", "--corpus", str(DATA / "toy_corpus.tsv"), "--relation", "amod"],
     "synth": ["synth", "--vocab-size", "12", "--n-pairs", "100"],
     "permtest": ["report", "permtest", "--group-a", "{tmp}/a.txt", "--group-b", "{tmp}/b.txt"],
+    # Flags are checked before any file is opened, so these name files that do not exist.
+    "topk": ["report", "topk", "--checkpoint", "{tmp}/missing.json"],
+    "senses": ["report", "senses", "--checkpoint", "{tmp}/missing.json",
+               "--inventory", "{tmp}/missing.tsv"],
+    "sentiment": ["report", "sentiment", "--checkpoint", "{tmp}/missing.json",
+                  "--sentiment-lexicon", "{tmp}/missing.tsv"],
+    "correlate": ["report", "correlate", "--checkpoint", "{tmp}/missing.json",
+                  "--judgments", "{tmp}/missing.tsv"],
 }
 REALS, INTS = ["0", "-1", "nan"], ["0", "-1"]
 BAD_FLAGS = [(command, flag, value) for command, flag, values in [
@@ -125,7 +172,15 @@ BAD_FLAGS = [(command, flag, value) for command, flag, values in [
     ("prop1", "--max-iterations", INTS),
     ("prop1", "--saturation-tol", REALS),
     ("synth", "--n-pairs", ["0", "-5"]), ("synth", "--planted-body-fem", ["nan", "-0.1", "0.95"]),
+    ("synth", "--vocab-size", ["11"]), ("synth", "--seed", ["-1"]),
     ("permtest", "--alpha", ["0", "-1", "nan", "1", "5"]),
+    ("permtest", "--permutations", INTS), ("permtest", "--tests", INTS),
+    ("permtest", "--seed", ["-1"]),
+    ("topk", "--k", INTS),
+    ("senses", "--k", INTS), ("senses", "--permutations", INTS), ("senses", "--seed", ["-1"]),
+    ("sentiment", "--k", INTS), ("sentiment", "--permutations", INTS),
+    ("sentiment", "--seed", ["-1"]),
+    ("correlate", "--permutations", INTS), ("correlate", "--seed", ["-1"]),
 ] for value in values]
 
 

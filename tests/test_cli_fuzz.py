@@ -60,6 +60,12 @@ CASES = {
     "correlate-binary": (["report", "correlate", "--checkpoint", "{checkpoint}",
                           "--judgments", "{judgments}", "--binary-judgments", "{fuzz}",
                           "--permutations", "50", "--out", "{out}"], "{binary}"),
+    "senses-inventory": (["report", "senses", "--checkpoint", "{checkpoint}", "--inventory",
+                          "{fuzz}", "--k", "10", "--permutations", "50", "--out", "{out}"],
+                         DATA / "toy_senses_adj.tsv"),
+    "sentiment-lexicon": (["report", "sentiment", "--checkpoint", "{checkpoint}",
+                           "--sentiment-lexicon", "{fuzz}", "--k", "10", "--permutations", "50",
+                           "--out", "{out}"], SENTIMENT),
     "permtest-a": (["report", "permtest", "--group-a", "{fuzz}", "--group-b", "{b}",
                     "--permutations", "100", "--out", "{out}"], "{a}"),
     "permtest-b": (["report", "permtest", "--group-a", "{a}", "--group-b", "{fuzz}",
