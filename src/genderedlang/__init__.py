@@ -4,9 +4,8 @@ from .corpus import (CountTable, Gender, GenderLexicon, Number, Pair, Relation,
                      aggregate_by_relation, aggregate_counts, bundled_lexicon_path,
                      gender_marginals, load_gender_lexicon, parse_arcs_line)
 from .errors import DataError, MalformedLineError, NumericalError, UsageError
-from .evaluation import (JudgmentReport, RankedList, TestResult, correlate_judgments,
-                         permutation_test, sense_difference_suite, sentiment_frequency,
-                         spearman, topk)
+from .evaluation import (JudgmentReport, TestResult, correlate_judgments, permutation_test,
+                         sense_difference_suite, sentiment_frequency, spearman, topk)
 from .lexicons import (ADJECTIVE_SENSES, SENTIMENTS, VERB_SENSES, SenseInventory,
                        SenseKind, Sentiment, SentimentPrior, load_sense_inventory,
                        load_sentiment_lexicon)

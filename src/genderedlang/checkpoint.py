@@ -24,14 +24,14 @@ FORMAT = "genderedlang-checkpoint-v1"
 # and ignores them.
 _RETIRED = {"learning_rate", "adam_beta1", "adam_beta2", "adam_epsilon", "window", "seed"}
 _CONFIG_KEYS = {f.name for f in fields(TrainConfig)}
+# The types of a JSON number; matched by type(), since JSON true/false load as bool, an int subclass.
+_NUMBERS = (int, float)
 
 
 @dataclass
 class Checkpoint:
     params: ModelParams
     space: FeatureSpace
-    config: TrainConfig
-    fingerprint: str
     relation: str
 
 
@@ -49,12 +49,11 @@ def _space_payload(space: FeatureSpace) -> dict:
 
 
 def _space_from_payload(payload: dict) -> FeatureSpace:
-    lemmas = tuple(payload["lemmas"])
     entries = {form: LexiconEntry(lemma, Gender(gender), Number(number))
                for form, (lemma, gender, number) in payload["forms"].items()}
-    space = FeatureSpace.from_lexicon(GenderLexicon(entries=entries, lemmas=lemmas))
-    if space.lemmas != lemmas:
-        raise DataError("space lemmas must be sorted and distinct")
+    space = FeatureSpace.from_lexicon(GenderLexicon(entries=entries))
+    if space.lemmas != tuple(payload["lemmas"]):
+        raise DataError("space lemmas must be sorted and distinct, and be the lemmas of its forms")
     return space
 
 
@@ -92,26 +91,33 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise DataError(f"{path}: {err}") from None
     except KeyError as err:
         raise DataError(f"{path}: malformed checkpoint: missing key {err}") from None
-    except (AttributeError, IndexError, TypeError, ValueError) as err:
+    except (AttributeError, IndexError, OverflowError, TypeError, ValueError) as err:
         raise DataError(f"{path}: malformed checkpoint: {err}") from None
+
+
+def _float_array(name: str, values) -> np.ndarray:
+    """A JSON array (of arrays) of numbers as floats; a boolean or string is a DataError."""
+    array = np.array(values, dtype=object)
+    if not all(type(x) in _NUMBERS for x in array.flat):
+        raise DataError(f"non-numeric value in {name}")
+    return array.astype(float)
 
 
 def _from_doc(doc: dict) -> Checkpoint:
     if doc.get("format") != FORMAT:
         raise DataError(f"unrecognized checkpoint format {doc.get('format')!r}")
-    unknown = set(doc["config"]) - _CONFIG_KEYS - _RETIRED
-    if unknown:
-        raise DataError(f"unknown config key(s) {', '.join(sorted(unknown))}")
-    config = TrainConfig(**{key: doc["config"][key] for key in _CONFIG_KEYS})
+    names = set(doc["config"])  # nothing reads the config back, so only its key names are checked
+    for problem, keys in (("unknown", names - _CONFIG_KEYS - _RETIRED),
+                          ("missing", _CONFIG_KEYS - names)):
+        if keys:
+            raise DataError(f"{problem} config key(s) {', '.join(sorted(keys))}")
     space = _space_from_payload(doc["space"])
     vocab, forms = tuple(doc["vocab"]), tuple(doc["forms"])
     if (not all(isinstance(w, str) for w in vocab + forms) or len(set(vocab)) < len(vocab)
             or len(set(forms)) < len(forms) or not set(forms) <= space.form_bits.keys()):
         raise DataError("vocab and forms must be distinct strings, every form in the feature space")
     shape = tuple(doc["eta_shape"])
-    m = np.array(doc["m"], dtype=float)
-    omega = np.array(doc["omega"], dtype=float)
-    xi = np.array(doc["xi"], dtype=float)
+    m, omega, xi = (_float_array(name, doc[name]) for name in ("m", "omega", "xi"))
     if (len(shape) != 3 or shape[0] != len(vocab) or shape[1] not in (1, 3)
             or shape[2] != space.dim or m.shape != (len(vocab),)
             or omega.shape != (len(forms), shape[1]) or xi.shape != (len(forms),)):
@@ -119,6 +125,8 @@ def _from_doc(doc: dict) -> Checkpoint:
                         f"xi or feature space (dimension {space.dim})")
     eta = np.zeros(shape)
     for v, s, t, value in doc["eta"]:
+        if not (type(v) is type(s) is type(t) is int and type(value) in _NUMBERS):
+            raise DataError(f"eta entry {[v, s, t, value]} is not three integers and a number")
         if not (0 <= v < shape[0] and 0 <= s < shape[1] and 0 <= t < shape[2]):
             raise DataError(f"eta index {[v, s, t]} outside eta_shape {list(shape)}")
         eta[v, s, t] = value
@@ -128,7 +136,5 @@ def _from_doc(doc: dict) -> Checkpoint:
     return Checkpoint(
         params=ModelParams(vocab=vocab, forms=forms, m=m, eta=eta, omega=omega, xi=xi),
         space=space,
-        config=config,
-        fingerprint=doc["fingerprint"],
         relation=doc["relation"],
     )

@@ -175,7 +175,7 @@ def cmd_report_topk(args) -> int:
     for gender in (Gender.MASC, Gender.FEM):
         for sentiment in sentiments:
             ranked = ev.topk(loaded.params, loaded.space, gender, sentiment, args.k)
-            for rank, (word, value) in enumerate(ranked.entries, start=1):
+            for rank, (word, value) in enumerate(ranked, start=1):
                 rows.append([gender.value, sentiment.value if sentiment else "none",
                              rank, word, value])
     _write_tsv(args.out, ["gender", "sentiment", "rank", "neighbor", "score"], rows)
@@ -203,7 +203,7 @@ def cmd_report_senses(args) -> int:
     rows = ev.sense_difference_suite(loaded.params, loaded.space, inventory, k=args.k,
                                      permutations=args.permutations, seed=args.seed)
     for row in rows:
-        rows_out.append([row.sentiment, row.sense, row.freq_masc, row.freq_fem,
+        rows_out.append([row.sentiment, row.sense, row.result.mean_a, row.result.mean_b,
                          row.result.p_value, str(row.result.significant).lower()])
     _write_tsv(args.out, ["sentiment", "sense", "freq_masc", "freq_fem", "p", "significant"],
                rows_out)
@@ -268,13 +268,13 @@ def _read_values(path: str) -> list[float]:
 
 
 def cmd_report_permtest(args) -> int:
+    alpha = args.alpha / args.tests
     result = ev.permutation_test(_read_values(args.group_a), _read_values(args.group_b),
-                                 permutations=args.permutations, seed=args.seed,
-                                 alpha=args.alpha / args.tests)
+                                 permutations=args.permutations, seed=args.seed, alpha=alpha)
     _write_tsv(args.out,
                ["statistic", "p_value", "corrected_alpha", "significant",
                 "permutations_used", "exact"],
-               [[result.statistic, result.p_value, result.corrected_alpha,
+               [[result.statistic, result.p_value, alpha,
                  str(result.significant).lower(), result.permutations_used,
                  str(result.exact).lower()]])
     return 0
@@ -336,9 +336,6 @@ def _expand_config(argv: list[str]) -> list[str]:
             i += 1
     tokens = []
     for lineno, line in read_lines(config_path):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
         if "=" not in line:
             raise DataError(f"{config_path}:{lineno}: expected key=value")
         key, value = (part.strip() for part in line.split("=", 1))

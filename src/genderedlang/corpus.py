@@ -60,13 +60,9 @@ class GenderLexicon:
     """Surface noun form -> (genderless lemma, gender, number)."""
 
     entries: dict[str, LexiconEntry]
-    lemmas: tuple[str, ...]
 
     def __contains__(self, form: str) -> bool:
         return form in self.entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
     def gender_of(self, form: str) -> Gender:
         return self.entries[form].gender
@@ -133,7 +129,7 @@ def load_gender_lexicon(path: str | Path) -> GenderLexicon:
         entries[form] = LexiconEntry(lemma, g, n)
     if not entries:
         raise DataError(f"{path}: empty lexicon")
-    return GenderLexicon(entries=entries, lemmas=tuple(sorted(per_lemma)))
+    return GenderLexicon(entries=entries)
 
 
 # ---------------------------------------------------------------------------

@@ -21,27 +21,16 @@ from .lexicons import SENTIMENTS, SenseInventory, Sentiment, SentimentPrior
 from .model import FeatureSpace, ModelParams, _forward, sentiment_index
 
 
-@dataclass(frozen=True)
-class RankedList:
-    """Top-k neighbors by gender-projected deviation, score-descending."""
-
-    gender: Gender
-    sentiment: Sentiment | None
-    entries: tuple[tuple[str, float], ...]
-    k: int
-
-
 def topk(params: ModelParams, space: FeatureSpace, gender: Gender,
-         sentiment: Sentiment | None, k: int) -> RankedList:
-    """Largest-deviation neighbors; ties broken lexicographically."""
+         sentiment: Sentiment | None, k: int) -> tuple[tuple[str, float], ...]:
+    """The k largest-deviation (neighbor, score) pairs, score-descending; ties
+    broken lexicographically."""
     if k <= 0:
         raise DataError("k must be positive")
     s = sentiment_index(params, sentiment)
     scores = params.eta[:, s, space.gender_index(gender)]
     order = sorted(range(len(params.vocab)), key=lambda i: (-scores[i], params.vocab[i]))
-    take = order[: min(k, len(order))]
-    entries = tuple((params.vocab[i], float(scores[i])) for i in take)
-    return RankedList(gender=gender, sentiment=sentiment, entries=entries, k=k)
+    return tuple((params.vocab[i], float(scores[i])) for i in order[:k])
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +41,6 @@ def topk(params: ModelParams, space: FeatureSpace, gender: Gender,
 class TestResult:
     statistic: float
     p_value: float
-    corrected_alpha: float
     significant: bool
     permutations_used: int
     exact: bool
@@ -130,7 +118,7 @@ def _permutation_tests(a: np.ndarray, b: np.ndarray, permutations: int, seed: in
             hits[c] += np.count_nonzero(np.abs(sums / k - (sum_all[c] - sums) / (n - k))
                                         >= threshold[c])
     p = (hits + add_one) / (used + add_one)
-    return [TestResult(statistic=float(observed[c]), p_value=float(p[c]), corrected_alpha=alpha,
+    return [TestResult(statistic=float(observed[c]), p_value=float(p[c]),
                        significant=bool(p[c] < alpha), permutations_used=used, exact=exact,
                        mean_a=float(mean_a[c]), mean_b=float(mean_b[c]))
             for c in range(len(pooled))]
@@ -158,9 +146,7 @@ def permutation_test(group_a, group_b, permutations: int = 100_000, seed: int = 
 class SenseTestRow:
     sentiment: str
     sense: str
-    freq_masc: float
-    freq_fem: float
-    result: TestResult
+    result: TestResult  # mean_a and mean_b are the masc and fem sense frequencies
 
 
 def _sense_groups(params: ModelParams, space: FeatureSpace, inventory: SenseInventory,
@@ -170,9 +156,9 @@ def _sense_groups(params: ModelParams, space: FeatureSpace, inventory: SenseInve
     seen: set[str] = set()
     for sentiment in sentiments:
         ranked = topk(params, space, gender, sentiment, k)
-        if not any(word in inventory for word, _score in ranked.entries):
+        if not any(word in inventory for word, _score in ranked):
             raise DataError("no entries in inventory")
-        for word, _score in ranked.entries:
+        for word, _score in ranked:
             if word not in seen:
                 seen.add(word)
                 words.append(word)
@@ -202,8 +188,7 @@ def sense_difference_suite(params: ModelParams, space: FeatureSpace,
         masc = _sense_groups(params, space, inventory, Gender.MASC, sentiments, k)
         fem = _sense_groups(params, space, inventory, Gender.FEM, sentiments, k)
         results = _permutation_tests(masc, fem, permutations, seed, corrected)
-        rows.extend(SenseTestRow(sentiment=label, sense=sense, freq_masc=result.mean_a,
-                                 freq_fem=result.mean_b, result=result)
+        rows.extend(SenseTestRow(sentiment=label, sense=sense, result=result)
                     for sense, result in zip(inventory.kind.senses, results))
     return rows
 
@@ -230,8 +215,7 @@ def sentiment_frequency(params: ModelParams, space: FeatureSpace, prior: Sentime
     groups: dict[Gender, np.ndarray] = {}
     frequencies: dict[Gender, tuple[float, float, float]] = {}
     for gender in (Gender.MASC, Gender.FEM):
-        ranked = topk(params, space, gender, None, k)
-        triples = [prior.get(word) for word, _score in ranked.entries]
+        triples = [prior.get(word) for word, _score in topk(params, space, gender, None, k)]
         triples = [t for t in triples if t is not None]
         if not triples:
             raise DataError(f"no {gender.value} top-k entries in the sentiment lexicon")

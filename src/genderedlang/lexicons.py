@@ -76,9 +76,6 @@ class SentimentPrior:
 
     probs: dict[str, tuple[float, float, float]]
 
-    def __contains__(self, word: str) -> bool:
-        return word.lower() in self.probs
-
     def __len__(self) -> int:
         return len(self.probs)
 
@@ -116,9 +113,6 @@ class SenseInventory:
 
     def __contains__(self, word: str) -> bool:
         return word.lower() in self.weights
-
-    def __len__(self) -> int:
-        return len(self.weights)
 
     def get(self, word: str) -> dict[str, float] | None:
         return self.weights.get(word.lower())

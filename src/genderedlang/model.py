@@ -33,7 +33,7 @@ class FeatureSpace:
 
     @classmethod
     def from_lexicon(cls, lex: GenderLexicon) -> "FeatureSpace":
-        lemmas = tuple(sorted(set(lex.lemmas)))
+        lemmas = tuple(sorted({entry.lemma for entry in lex.entries.values()}))
         lemma_pos = {lemma: i for i, lemma in enumerate(lemmas)}
         size = len(lemmas)
         bits = {}

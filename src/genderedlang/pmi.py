@@ -56,7 +56,6 @@ class RestrictedResult:
 
     eta: np.ndarray
     iterations: int
-    max_deviation: float
 
 
 def restricted_train(gtable: GenderCollapsedTable, max_iterations: int = 50000,
@@ -90,8 +89,7 @@ def restricted_train(gtable: GenderCollapsedTable, max_iterations: int = 50000,
         raise NumericalError(
             f"restricted MLE did not reach saturation tol {saturation_tol:g} "
             f"in {len(values) - 1} iterations (stop: {reason}, max deviation {dev:.3g})")
-    return RestrictedResult(eta=x.reshape(p_cond.shape), iterations=len(values) - 1,
-                            max_deviation=dev)
+    return RestrictedResult(eta=x.reshape(p_cond.shape), iterations=len(values) - 1)
 
 
 @dataclass

@@ -32,7 +32,7 @@ def tiny_lexicon():
         "beta_m": LexiconEntry("beta", Gender.MASC, Number.SG),
         "beta_f": LexiconEntry("beta", Gender.FEM, Number.SG),
     }
-    return GenderLexicon(entries=entries, lemmas=("alpha", "beta"))
+    return GenderLexicon(entries=entries)
 
 
 @pytest.fixture(scope="session")
@@ -79,7 +79,7 @@ def make_table(counts: dict, relation: Relation = Relation.AMOD, lex: GenderLexi
         entries = {}
         for form in forms:
             entries[form] = LexiconEntry(form, Gender.MASC, Number.SG)
-        lex = GenderLexicon(entries=entries, lemmas=tuple(sorted(forms)))
+        lex = GenderLexicon(entries=entries)
     return aggregate_counts(pairs, relation, lex)
 
 

@@ -114,7 +114,10 @@ def test_every_public_name_has_a_caller():
     """Each public module-level function and class in the package (its __init__
     re-exports aside) is named in src/, scripts/ or perfbench/ outside its own
     definition, and each annotated class field is read there as an attribute,
-    so nothing is kept alive by the tests alone."""
+    so nothing is kept alive by the tests alone.  A read through an argparse
+    namespace named `args` reads a command-line option, not a class field, so
+    it does not count; a field is still matched by its name alone, whatever
+    the class of the object it is read from."""
     referrers = [*PACKAGE, *sorted((ROOT / "scripts").glob("*.py")),
                  *sorted((ROOT / "perfbench").glob("*.py"))]
     referenced: set[str] = set()
@@ -122,7 +125,8 @@ def test_every_public_name_has_a_caller():
     for path in referrers:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         read.update(node.attr for node in ast.walk(tree)
-                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and not (isinstance(node.value, ast.Name) and node.value.id == "args"))
         for stmt in tree.body:
             own = _defines(stmt)
             for node in ast.walk(stmt):

@@ -340,6 +340,17 @@ class TestTrain:
         assert doc["config"]["max_iterations"] == 60  # flag wins over config
         assert doc["config"]["n_sentiments"] == 1
 
+    def test_config_value_keeps_its_hash(self, tmp_path):
+        # Only a line that starts with # is a comment; a # inside a value is part of it.
+        (tmp_path / "a.txt").write_text("1\n2\n3\n")
+        (tmp_path / "b.txt").write_text("4\n5\n6\n")
+        config = tmp_path / "run.conf"
+        config.write_text(f"# permtest inputs\ngroup_a = {tmp_path}/a.txt\n"
+                          f"group_b = {tmp_path}/b.txt\nout = {tmp_path}/runs#1\n")
+        assert main(["report", "permtest", "--config", str(config)]) == 0
+        assert (tmp_path / "runs#1").is_file()
+        assert not (tmp_path / "runs").exists()
+
 
 class TestReports:
     def test_topk_schema_and_row_counts(self, trained, tmp_path):

@@ -40,18 +40,18 @@ class TestTopk:
         params = params_with_scores(lexicon, space,
                                     fem_scores={"pretty": 3.3, "plain": 1.0, "dull": 0.2})
         ranked = topk(params, space, Gender.FEM, POS, 1)
-        assert ranked.entries == (("pretty", 3.3),)
+        assert ranked == (("pretty", 3.3),)
 
     def test_zero_eta_lexicographic_ties(self, lexicon, space):
         params = params_with_scores(lexicon, space, vocab=["delta", "alpha", "echo", "bravo"])
         ranked = topk(params, space, Gender.MASC, NEU, 3)
-        assert [w for w, _ in ranked.entries] == ["alpha", "bravo", "delta"]
-        assert all(s == 0.0 for _, s in ranked.entries)
+        assert [w for w, _ in ranked] == ["alpha", "bravo", "delta"]
+        assert all(s == 0.0 for _, s in ranked)
 
     def test_k_larger_than_vocabulary_clamps(self, lexicon, space):
         params = params_with_scores(lexicon, space, vocab=["a", "b", "c"])
         ranked = topk(params, space, Gender.FEM, NEG, 50)
-        assert len(ranked.entries) == 3
+        assert len(ranked) == 3
 
     def test_k_must_be_positive(self, lexicon, space):
         params = params_with_scores(lexicon, space, vocab=["a", "b", "c"])
@@ -71,7 +71,7 @@ class TestTopk:
         table = make_table({("pretty", "woman"): 5, ("stern", "man"): 5}, lex=lexicon)
         params = init_params(table, space)
         params.eta[params.vocab.index("pretty"), 0, space.fem_index] = 3.3
-        entries = dict(topk(params, space, Gender.FEM, POS, len(params.vocab)).entries)
+        entries = dict(topk(params, space, Gender.FEM, POS, len(params.vocab)))
         assert entries["pretty"] == 3.3
 
     def test_zero_eta_all_scores_zero(self, lexicon, space):
@@ -80,8 +80,8 @@ class TestTopk:
         for g in (Gender.MASC, Gender.FEM):
             for s in SENTIMENTS:
                 ranked = topk(params, space, g, s, len(params.vocab))
-                assert sorted(w for w, _ in ranked.entries) == sorted(params.vocab)
-                assert all(value == 0.0 for _, value in ranked.entries)
+                assert sorted(w for w, _ in ranked) == sorted(params.vocab)
+                assert all(value == 0.0 for _, value in ranked)
 
 class TestSenseProfile:
     """Per-sense means of a top-k list, as sense_difference_suite reports them."""
@@ -91,7 +91,7 @@ class TestSenseProfile:
         params = params_with_scores(lexicon, space, fem_scores={w: 1.0 for w in words})
         inventory = SenseInventory(kind=SenseKind.ADJ, weights=weights)
         rows = sense_difference_suite(params, space, inventory, k=len(words), permutations=10)
-        return {r.sense: r.freq_fem for r in rows if r.sentiment == "pos"}
+        return {r.sense: r.result.mean_b for r in rows if r.sentiment == "pos"}
 
     def test_two_entry_mean(self, lexicon, space):
         means = self.fem_means(lexicon, space, ["a", "b"],
@@ -323,9 +323,9 @@ class TestSenseSuite:
         params, inv = self.build(lexicon, space)
         rows = sense_difference_suite(params, space, inv, k=10, permutations=2000, seed=0)
         row = next(r for r in rows if r.sentiment == "pos" and r.sense == "body")
-        assert row.freq_fem > row.freq_masc
+        assert row.result.mean_b > row.result.mean_a
         assert row.result.significant
-        assert row.result.corrected_alpha == pytest.approx(0.05 / 13)
+        assert all(r.result.significant == (r.result.p_value < 0.05 / 13) for r in rows)
 
     def test_k_beyond_vocab_makes_groups_identical(self, lexicon, space):
         params, inv = self.build(lexicon, space)
@@ -351,7 +351,7 @@ class TestSenseSuite:
 
         def column(gender, sentiments, sense):
             words = dict.fromkeys(w for s in sentiments
-                                  for w, _ in topk(params, space, gender, s, k).entries)
+                                  for w, _ in topk(params, space, gender, s, k))
             return [inv.get(w).get(sense, 0.0) for w in words if w in inv]
 
         assert len(rows) == 4 * 13
@@ -361,7 +361,6 @@ class TestSenseSuite:
                                     column(Gender.FEM, sentiments, row.sense),
                                     permutations=301, seed=7, alpha=0.05 / 13)
             assert row.result == want  # every field, floats bit for bit
-            assert (row.freq_masc, row.freq_fem) == (want.mean_a, want.mean_b)
         assert {r.result.exact for r in rows} == {k == 4}
 
 
@@ -409,7 +408,7 @@ class TestSentimentFrequency:
         prior = SentimentPrior(probs={w: tuple(rng.dirichlet([1.0, 1.0, 1.0]))
                                       for w in words[1:]})
         report = sentiment_frequency(params, space, prior, k=k, permutations=301, seed=7)
-        groups = {g: [prior.get(w) for w, _ in topk(params, space, g, None, k).entries
+        groups = {g: [prior.get(w) for w, _ in topk(params, space, g, None, k)
                       if prior.get(w) is not None] for g in (Gender.MASC, Gender.FEM)}
         for j, sentiment in enumerate(SENTIMENTS):
             want = permutation_test([t[j] for t in groups[Gender.MASC]],

@@ -74,6 +74,6 @@ class TestWriteSynth:
         prior = load_sentiment_lexicon(paths["sentiment"])
         assert len(prior) == 60
         inv = load_sense_inventory(paths["senses"], SenseKind.ADJ)
-        assert len(inv) == 60
+        assert len(inv.weights) == 60
         manifest = json.loads(paths["manifest"].read_text())
         assert manifest["seed"] == 12
