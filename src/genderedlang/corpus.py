@@ -61,9 +61,6 @@ class GenderLexicon:
 
     entries: dict[str, LexiconEntry]
 
-    def __contains__(self, form: str) -> bool:
-        return form in self.entries
-
     def gender_of(self, form: str) -> Gender:
         return self.entries[form].gender
 
@@ -190,7 +187,7 @@ def parse_arcs_line(line: str, lex: GenderLexicon) -> list[Pair]:
         else:
             form, neighbor = word, head_word
         form = form.lower()
-        if form not in lex:
+        if form not in lex.entries:
             continue
         out.append(Pair(form, neighbor.lower(), relation, total))
     return out
@@ -214,6 +211,7 @@ def iter_canonical(path: str | Path, lex: GenderLexicon, stats: IngestStats | No
     """Stream pairs from canonical ``relation form neighbor count`` TSV."""
     if stats is None:
         stats = IngestStats()
+    entries = lex.entries
     for _, line in read_lines(path):
         stats.lines += 1
         fields = line.split("\t")
@@ -222,16 +220,16 @@ def iter_canonical(path: str | Path, lex: GenderLexicon, stats: IngestStats | No
             continue
         rel_token, form, neighbor, count_token = fields
         try:
-            relation = Relation(rel_token.strip().lower())
             count = int(count_token)
         except ValueError:
             stats.malformed += 1
             continue
-        if count < 0:
+        relation = _ACCEPTED_LABELS.get(rel_token.strip().lower())
+        if relation is None or count < 0:
             stats.malformed += 1
             continue
         form = form.strip().lower()
-        if form not in lex:
+        if form not in entries:
             stats.unknown_forms += 1
             continue
         yield Pair(form, neighbor.strip().lower(), relation, count)
@@ -277,16 +275,42 @@ class CountTable:
         return h.hexdigest()
 
 
-def _build_table(relation: Relation, counts: Counter[tuple[str, str]]) -> CountTable:
-    if sum(counts.values()) >= 2 ** 63:
+def _build_table(relation: Relation, cells: dict[tuple[str, str], int]) -> CountTable:
+    if sum(cells.values()) >= 2 ** 63:
         raise DataError(f"total count for relation {relation.value!r} exceeds the int64 range")
-    vocab = tuple(sorted({neighbor for neighbor, _ in counts}))
-    forms = tuple(sorted({form for _, form in counts}))
+    values = np.array(list(cells.values()))
+    if values.dtype.kind not in "iu":
+        raise DataError(f"non-integer count for relation {relation.value!r}")
+    vocab = tuple(sorted({neighbor for neighbor, _ in cells}))
+    forms = tuple(sorted({form for _, form in cells}))
     v_idx = {v: i for i, v in enumerate(vocab)}
     f_idx = {f: j for j, f in enumerate(forms)}
     matrix = np.zeros((len(vocab), len(forms)), dtype=np.int64)
-    matrix[[v_idx[n] for n, _ in counts], [f_idx[f] for _, f in counts]] = list(counts.values())
+    matrix[[v_idx[n] for n, _ in cells], [f_idx[f] for _, f in cells]] = values
     return CountTable(relation=relation, matrix=matrix, vocab=vocab, forms=forms)
+
+
+def _sum_cells(records: Iterable[Pair], lex: GenderLexicon,
+               only: Relation | None = None) -> dict[Relation, dict[tuple[str, str], int]]:
+    """Per relation, (neighbor, form) -> summed count of the records (of relation `only`, if given)."""
+    entries = lex.entries
+    cells: dict[Relation, dict[tuple[str, str], int]] = {rel: {} for rel in Relation}
+    for form, neighbor, rel, count in records:
+        if only is not None and rel is not only:
+            continue
+        if count <= 0:
+            if count < 0:
+                raise DataError(f"negative count {count} for noun form {form!r}")
+            continue
+        if form not in entries:
+            raise DataError(f"noun form {form!r} not in gender lexicon")
+        try:
+            sums = cells[rel]
+        except KeyError:
+            raise DataError(f"unknown relation {rel!r}") from None
+        key = (neighbor, form)
+        sums[key] = sums.get(key, 0) + count
+    return cells
 
 
 def aggregate_by_relation(records: Iterable[Pair],
@@ -294,36 +318,31 @@ def aggregate_by_relation(records: Iterable[Pair],
     """Sum a record stream into one CountTable per relation, in a single pass.
 
     Result is independent of record order; zero-count records are ignored,
-    and a relation with no usable record is absent.  Tables come in
-    Relation order.
+    a negative or non-integer count is a DataError, and a relation with no
+    usable record is absent.  Tables come in Relation order.
     """
-    counts: dict[Relation, Counter[tuple[str, str]]] = {}
-    for form, neighbor, rel, count in records:
-        if count == 0:
-            continue
-        if form not in lex:
-            raise DataError(f"noun form {form!r} not in gender lexicon")
-        counts.setdefault(rel, Counter())[(neighbor, form)] += count
-    return {rel: _build_table(rel, counts[rel]) for rel in Relation if rel in counts}
+    return {rel: _build_table(rel, cells)
+            for rel, cells in _sum_cells(records, lex).items() if cells}
 
 
 def aggregate_counts(records: Iterable[Pair], relation: Relation, lex: GenderLexicon) -> CountTable:
     """Sum records for one relation into a CountTable.
 
-    Result is independent of record order; zero-count records are ignored.
-    Raises DataError when no usable record survives.
+    Result is independent of record order; zero-count records are ignored,
+    and a negative or non-integer count is a DataError.  Raises DataError
+    when no usable record survives.
     """
-    tables = aggregate_by_relation((r for r in records if r.relation is relation), lex)
-    if relation not in tables:
+    cells = _sum_cells(records, lex, relation)[relation]
+    if not cells:
         raise DataError(f"empty table: no usable records for relation {relation.value!r}")
-    return tables[relation]
+    return _build_table(relation, cells)
 
 
 def write_canonical(path: str | Path, table: CountTable) -> None:
     """Write a table as sorted canonical TSV (deterministic bytes)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for neighbor, form, count in table.entries():
-            fh.write(f"{table.relation.value}\t{form}\t{neighbor}\t{count}\n")
+    rel = table.relation.value
+    Path(path).write_text("".join(f"{rel}\t{form}\t{neighbor}\t{count}\n"
+                                  for neighbor, form, count in table.entries()), encoding="utf-8")
 
 
 GENDERS = (Gender.MASC, Gender.FEM)  # column order of every gender-collapsed count matrix

@@ -148,3 +148,11 @@ def test_every_public_name_has_a_caller():
     assert len(fields) >= 30
     unread = [f"{cls}.{name}" for cls, name in fields if name not in read]
     assert not unread, f"class fields never read outside the tests: {', '.join(unread)}"
+
+
+@pytest.mark.parametrize("name", ["iter_arcs", "iter_canonical"])
+def test_corpus_reader_is_a_generator(name):
+    """perfbench's tracer charges a generator only for the time inside its own
+    next() calls, and corpus.parse_s and corpus.aggregate_s are split on that
+    basis: a reader that returned a list would count aggregation as parsing."""
+    assert inspect.isgeneratorfunction(getattr(importlib.import_module("genderedlang.corpus"), name))

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from genderedlang.corpus import (Gender, IngestStats, Number, Pair, Relation,
                                  aggregate_by_relation, aggregate_counts, gender_marginals,
                                  iter_arcs, iter_canonical, load_gender_lexicon,
-                                 parse_arcs_line, write_canonical)
+                                 parse_arcs_line, read_lines, write_canonical)
 from genderedlang.errors import DataError, MalformedLineError
 from genderedlang.pmi import collapse_by_gender
 
@@ -151,6 +152,16 @@ class TestParseArcs:
         with pytest.raises(MalformedLineError):
             parse_arcs_line("girl\tyoung/JJ/amod/2 girl/NN/ROOT/0\toops\t1996,1", lexicon)
 
+    def test_every_injected_malformed_kind_raises(self, lexicon, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        import workloads
+
+        assert len(workloads.MALFORMED_KINDS) == 6
+        for kind in workloads.MALFORMED_KINDS:
+            line = workloads._malformed_line(kind, "woman", "pretty")
+            with pytest.raises(MalformedLineError):
+                parse_arcs_line(line, lexicon)
+
     def test_bulk_reader_counts_malformed(self, lexicon):
         stats = IngestStats()
         pairs = list(iter_arcs(DATA / "toy.arcs", lexicon, stats))
@@ -159,6 +170,68 @@ class TestParseArcs:
         amod_pairs = [p for p in pairs if p.relation is Relation.AMOD]
         assert Pair("woman", "pretty", Relation.AMOD, 42) in amod_pairs
         assert Pair("woman", "pretty", Relation.AMOD, 8) in amod_pairs
+
+
+def _reference_canonical(path, lex):
+    """The canonical reader with the relation token looked up by the Relation constructor."""
+    stats, pairs = IngestStats(), []
+    for _, line in read_lines(path):
+        stats.lines += 1
+        fields = line.split("\t")
+        if len(fields) != 4:
+            stats.malformed += 1
+            continue
+        rel_token, form, neighbor, count_token = fields
+        try:
+            relation = Relation(rel_token.strip().lower())
+            count = int(count_token)
+        except ValueError:
+            stats.malformed += 1
+            continue
+        if count < 0:
+            stats.malformed += 1
+            continue
+        form = form.strip().lower()
+        if form not in lex.entries:
+            stats.unknown_forms += 1
+            continue
+        pairs.append(Pair(form, neighbor.strip().lower(), relation, count))
+    return pairs, stats
+
+
+_CANONICAL_ROW = st.tuples(
+    st.sampled_from(["amod", "nsubj", "dobj", "AMOD", " Nsubj", "dObj  ", "prep", "", "amod2"]),
+    st.sampled_from(["woman", "Man", " queen ", "KINGS\u00a0", "he", "table", "", "wo man"]),
+    st.text(alphabet="aBz \u00c9_", max_size=4),
+    st.one_of(st.sampled_from(["7", " 7", "1_000", "+4", "007", "-0", "0", "-3", "2.5", "x", ""]),
+              st.integers(min_value=-5, max_value=10 ** 6).map(str)),
+    st.sampled_from([4, 4, 4, 3, 5]),
+).map(lambda row: "\t".join([*row[:4], "extra"][:row[4]]))
+_CANONICAL_LINE = st.one_of(_CANONICAL_ROW,
+                            st.sampled_from(["", "   ", "\t", "# amod\twoman\ttall\t3", " # x"]))
+
+
+class TestCanonicalReader:
+    def test_stats_count_each_kind_of_line(self, lexicon, tmp_path):
+        path = tmp_path / "c.tsv"
+        path.write_text("# comment\n\namod\tWoman\tTall\t3\nprep\twoman\tof\t2\n"
+                        "amod\twoman\ttall\t-1\namod\twoman\ttall\nnsubj\ttable\tstood\t4\n",
+                        encoding="utf-8")
+        stats = IngestStats()
+        assert list(iter_canonical(path, lexicon, stats)) == [Pair("woman", "tall", Relation.AMOD, 3)]
+        assert stats == IngestStats(lines=5, malformed=3, unknown_forms=1)
+
+    @given(st.lists(_CANONICAL_LINE, max_size=25))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_reader(self, lexicon, tmp_path_factory, lines):
+        path = tmp_path_factory.mktemp("canonical") / "lines.tsv"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        stats = IngestStats()
+        pairs = list(iter_canonical(path, lexicon, stats))
+        want_pairs, want_stats = _reference_canonical(path, lexicon)
+        assert pairs == want_pairs
+        assert all(type(p.relation) is Relation for p in pairs)
+        assert stats == want_stats
 
 
 class TestAggregate:
@@ -254,6 +327,26 @@ class TestAggregate:
         assert path.read_text(encoding="utf-8") == "".join(
             f"dobj\t{form}\t{neighbor}\t{expected[(neighbor, form)]}\n"
             for neighbor, form in sorted(expected))
+
+    @pytest.mark.parametrize("records, match", [
+        ([("man", "tall", 5), ("woman", "tall", -3)], "negative count"),
+        ([("man", "tall", 5), ("man", "tall", -5), ("woman", "short", 2)], "negative count"),
+        ([("woman", "tall", -1)], "negative count"),
+        ([("man", "tall", 2.5)], "non-integer count"),
+        ([("man", "tall", 2), ("woman", "tall", 2.5)], "non-integer count"),
+        ([("man", "tall", 3), ("man", "tall", 0.5)], "non-integer count"),
+    ], ids=["negative_cell", "cancelling_cell", "only_negative",
+            "float_cell", "float_beside_int", "float_added_to_int"])
+    def test_bad_count_rejected(self, lexicon, records, match):
+        pairs = [Pair(f, n, Relation.AMOD, c) for f, n, c in records]
+        with pytest.raises(DataError, match=match):
+            aggregate_counts(pairs, Relation.AMOD, lexicon)
+        with pytest.raises(DataError, match=match):
+            aggregate_by_relation(pairs, lexicon)
+
+    def test_unknown_relation_rejected(self, lexicon):
+        with pytest.raises(DataError, match="unknown relation 'prep'"):
+            aggregate_by_relation([Pair("man", "of", "prep", 2)], lexicon)
 
     def test_total_beyond_int64_rejected(self, lexicon):
         pairs = [Pair("woman", "a", Relation.AMOD, 2 ** 62), Pair("man", "b", Relation.AMOD, 2 ** 62)]
