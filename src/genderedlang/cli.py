@@ -15,10 +15,10 @@ from pathlib import Path
 
 from . import checkpoint as ckpt
 from . import evaluation as ev
-from .corpus import (Gender, IngestStats, Relation, aggregate_by_relation, aggregate_counts,
-                     bundled_lexicon_path, gender_marginals, iter_arcs, iter_canonical,
-                     load_gender_lexicon, read_lines, read_rows, write_canonical)
-from .pmi import collapse_by_gender, pmi_table, prop1_check
+from .corpus import (GENDERS, Gender, IngestStats, Relation, aggregate_by_relation,
+                     aggregate_counts, bundled_lexicon_path, gender_marginals, iter_arcs,
+                     iter_canonical, load_gender_lexicon, read_lines, read_rows, write_canonical)
+from .pmi import PROP1_MAX_ITERATIONS, SATURATION_TOL, collapse_by_gender, pmi_table, prop1_check
 from .errors import DataError, NumericalError, UsageError
 from .lexicons import (SENTIMENTS, SenseKind, load_sense_inventory, load_sentiment_lexicon)
 from .model import FeatureSpace, TrainConfig, grid_train_average
@@ -132,12 +132,7 @@ def cmd_train(args) -> int:
         raise UsageError("--no-sentiment is incompatible with a non-zero beta grid")
     n_sentiments = 1 if args.no_sentiment else 3
 
-    prior = None
-    if args.sentiment_lexicon:
-        prior = load_sentiment_lexicon(args.sentiment_lexicon)
-    elif any(b > 0 for b in betas):
-        raise DataError("a sentiment lexicon is required when any beta > 0")
-
+    prior = load_sentiment_lexicon(args.sentiment_lexicon) if args.sentiment_lexicon else None
     base = TrainConfig(max_iterations=args.max_iterations, tolerance=args.tolerance,
                        n_sentiments=n_sentiments)
     grid = grid_train_average(table, space, prior, alphas, betas, base, jobs=args.jobs)
@@ -172,7 +167,7 @@ def cmd_report_topk(args) -> int:
     loaded = ckpt.load_checkpoint(args.checkpoint)
     sentiments = list(SENTIMENTS) if loaded.params.n_sentiments == 3 else [None]
     rows = []
-    for gender in (Gender.MASC, Gender.FEM):
+    for gender in GENDERS:
         for sentiment in sentiments:
             ranked = ev.topk(loaded.params, loaded.space, gender, sentiment, args.k)
             for rank, (word, value) in enumerate(ranked, start=1):
@@ -188,7 +183,7 @@ def cmd_report_pmi(args) -> int:
     gtable = collapse_by_gender(table, lex)
     values = pmi_table(gtable)
     rows = []
-    for gender in (Gender.MASC, Gender.FEM):
+    for gender in GENDERS:
         pairs = [(word, v) for (word, g), v in values.items() if g is gender]
         pairs.sort(key=lambda item: (-item[1], item[0]))
         rows.extend([gender.value, word, v] for word, v in pairs)
@@ -215,14 +210,12 @@ def cmd_report_sentiment(args) -> int:
     prior = load_sentiment_lexicon(args.sentiment_lexicon)
     report = ev.sentiment_frequency(loaded.params, loaded.space, prior, k=args.k,
                                     permutations=args.permutations, seed=args.seed)
-    sig = {s: str(report.tests[s].significant).lower() for s in SENTIMENTS}
-    rows = []
-    for gender in (Gender.MASC, Gender.FEM):
-        pos, neg, neu = report.frequencies[gender]
-        rows.append([loaded.relation, gender.value, pos, neg, neu,
-                     sig[SENTIMENTS[0]], sig[SENTIMENTS[1]], sig[SENTIMENTS[2]]])
-    _write_tsv(args.out, ["relation", "gender", "pos", "neg", "neu",
-                          "sig_pos", "sig_neg", "sig_neu"], rows)
+    tests = [report.tests[s] for s in SENTIMENTS]
+    sig = [str(t.significant).lower() for t in tests]
+    means = [[t.mean_a for t in tests], [t.mean_b for t in tests]]
+    rows = [[loaded.relation, g.value, *freqs, *sig] for g, freqs in zip(GENDERS, means)]
+    _write_tsv(args.out, ["relation", "gender", *(s.value for s in SENTIMENTS),
+                          *(f"sig_{s.value}" for s in SENTIMENTS)], rows)
     return 0
 
 
@@ -287,7 +280,7 @@ def cmd_report_prop1(args) -> int:
     report = prop1_check(gtable, args.max_iterations, args.saturation_tol)
     rows = [[g.value, report.max_deviation[g], report.rank_correlation[g],
              report.restricted.iterations]
-            for g in (Gender.MASC, Gender.FEM)]
+            for g in GENDERS]
     _write_tsv(args.out, ["gender", "max_normalized_deviation", "spearman", "iterations"], rows)
     return 0
 
@@ -317,7 +310,7 @@ _BOOL_KEYS = {"no_sentiment"}
 
 
 def _expand_config(argv: list[str]) -> list[str]:
-    """Splice config-file key=value pairs in as flags that user flags override."""
+    """Splice config-file key=value pairs in as flags; a key whose flag is given too is dropped."""
     if "--config" not in argv and not any(a.startswith("--config=") for a in argv):
         return argv
     out, config_path = [], None
@@ -334,6 +327,7 @@ def _expand_config(argv: list[str]) -> list[str]:
         else:
             out.append(argv[i])
             i += 1
+    given = {a.split("=", 1)[0] for a in out if a.startswith("--")}
     tokens = []
     for lineno, line in read_lines(config_path):
         if "=" not in line:
@@ -341,12 +335,13 @@ def _expand_config(argv: list[str]) -> list[str]:
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.replace("_", "-")
         if key.replace("-", "_") in _BOOL_KEYS:
-            if value.lower() in ("true", "1", "yes"):
-                tokens.append(f"--{key}")
-            elif value.lower() not in ("false", "0", "no"):
+            if value.lower() not in ("true", "1", "yes", "false", "0", "no"):
                 raise DataError(f"{config_path}:{lineno}: bad boolean {value!r}")
+            flag = [f"--{key}"] if value.lower() in ("true", "1", "yes") else []
         else:
-            tokens.extend([f"--{key}", value])
+            flag = [f"--{key}", value]
+        if f"--{key}" not in given:
+            tokens.extend(flag)
     # Insert after the subcommand token(s) so explicit flags take precedence.
     n_sub = 0
     while n_sub < len(out) and not out[n_sub].startswith("-"):
@@ -384,8 +379,8 @@ def _build_parser() -> _Parser:
                    help="comma-separated L1 weights")
     p.add_argument("--beta-grid", type=_parse_grid, default="0",
                    help="comma-separated regularizer weights")
-    p.add_argument("--max-iterations", type=_POSITIVE_INT, default=20000)
-    p.add_argument("--tolerance", type=_POSITIVE_FLOAT, default=1e-4,
+    p.add_argument("--max-iterations", type=_POSITIVE_INT, default=TrainConfig.max_iterations)
+    p.add_argument("--tolerance", type=_POSITIVE_FLOAT, default=TrainConfig.tolerance,
                    help="stop once the KKT residual (projected-gradient inf-norm) is this small")
     p.add_argument("--jobs", type=_POSITIVE_INT, default=1)
     p.add_argument("--no-sentiment", action="store_true",
@@ -457,8 +452,8 @@ def _build_parser() -> _Parser:
     p = rsub.add_parser("prop1")
     p.add_argument("--corpus", required=True)
     p.add_argument("--relation", choices=[r.value for r in Relation], required=True)
-    p.add_argument("--max-iterations", type=_POSITIVE_INT, default=50000)
-    p.add_argument("--saturation-tol", type=_POSITIVE_FLOAT, default=1e-8)
+    p.add_argument("--max-iterations", type=_POSITIVE_INT, default=PROP1_MAX_ITERATIONS)
+    p.add_argument("--saturation-tol", type=_POSITIVE_FLOAT, default=SATURATION_TOL)
     p.add_argument("--out", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_report_prop1)

@@ -61,9 +61,6 @@ class GenderLexicon:
 
     entries: dict[str, LexiconEntry]
 
-    def gender_of(self, form: str) -> Gender:
-        return self.entries[form].gender
-
     def forms(self) -> tuple[str, ...]:
         return tuple(sorted(self.entries))
 
@@ -155,12 +152,12 @@ def _parse_token(token: str) -> tuple[str, str, str, int]:
     return word, pos, dep, head_idx
 
 
-def parse_arcs_line(line: str, lex: GenderLexicon) -> list[Pair]:
-    """Extract gendered (noun form, neighbor) pairs from one arcs line, without its break.
+def parse_arcs_line(line: str) -> list[Pair]:
+    """Extract (noun form, neighbor) pairs from one arcs line, without its break.
 
     amod arcs attach the labeled modifier to its head noun; nsubj/dobj arcs
-    attach the labeled noun to its head verb.  Pairs whose noun side is not
-    in the lexicon, and arcs with other labels, are dropped silently.
+    attach the labeled noun to its head verb.  Arcs with other labels are
+    dropped silently; nouns are not checked against any lexicon.
     Structural problems raise MalformedLineError so bulk readers can skip
     the line and keep a counter.
     """
@@ -186,25 +183,27 @@ def parse_arcs_line(line: str, lex: GenderLexicon) -> list[Pair]:
             form, neighbor = head_word, word
         else:
             form, neighbor = word, head_word
-        form = form.lower()
-        if form not in lex.entries:
-            continue
-        out.append(Pair(form, neighbor.lower(), relation, total))
+        out.append(Pair(form.lower(), neighbor.lower(), relation, total))
     return out
 
 
 def iter_arcs(path: str | Path, lex: GenderLexicon, stats: IngestStats | None = None) -> Iterator[Pair]:
-    """Stream pairs from an arcs file, skipping malformed lines."""
+    """Stream pairs from an arcs file, skipping malformed lines and unknown nouns."""
     if stats is None:
         stats = IngestStats()
+    entries = lex.entries
     for _, line in read_lines(path):
         stats.lines += 1
         try:
-            pairs = parse_arcs_line(line, lex)
+            pairs = parse_arcs_line(line)
         except MalformedLineError:
             stats.malformed += 1
             continue
-        yield from pairs
+        for pair in pairs:
+            if pair.form in entries:
+                yield pair
+            else:
+                stats.unknown_forms += 1
 
 
 def iter_canonical(path: str | Path, lex: GenderLexicon, stats: IngestStats | None = None) -> Iterator[Pair]:
@@ -345,12 +344,12 @@ def write_canonical(path: str | Path, table: CountTable) -> None:
                                   for neighbor, form, count in table.entries()), encoding="utf-8")
 
 
-GENDERS = (Gender.MASC, Gender.FEM)  # column order of every gender-collapsed count matrix
+GENDERS = (Gender.MASC, Gender.FEM)  # order of every gender axis: features and collapsed counts
 
 
 def gender_onehot(forms: Iterable[str], lex: GenderLexicon) -> np.ndarray:
     """(|forms|, 2) int64 indicator of each form's gender, columns in GENDERS order."""
-    return np.array([[lex.gender_of(form) is g for g in GENDERS] for form in forms], dtype=np.int64)
+    return np.array([[lex.entries[f].gender is g for g in GENDERS] for f in forms], dtype=np.int64)
 
 
 def gender_marginals(table: CountTable, lex: GenderLexicon) -> dict[Gender, int]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Gender
+from .corpus import GENDERS, Gender
 from .errors import DataError, NumericalError
 from .lexicons import SENTIMENTS, SenseInventory, Sentiment, SentimentPrior
 from .model import FeatureSpace, ModelParams, _forward, sentiment_index
@@ -185,8 +185,7 @@ def sense_difference_suite(params: ModelParams, space: FeatureSpace,
     corrected = alpha / len(inventory.kind.senses)
     rows: list[SenseTestRow] = []
     for label, sentiments in groupings:
-        masc = _sense_groups(params, space, inventory, Gender.MASC, sentiments, k)
-        fem = _sense_groups(params, space, inventory, Gender.FEM, sentiments, k)
+        masc, fem = (_sense_groups(params, space, inventory, g, sentiments, k) for g in GENDERS)
         results = _permutation_tests(masc, fem, permutations, seed, corrected)
         rows.extend(SenseTestRow(sentiment=label, sense=sense, result=result)
                     for sense, result in zip(inventory.kind.senses, results))
@@ -195,8 +194,7 @@ def sense_difference_suite(params: ModelParams, space: FeatureSpace,
 
 @dataclass(frozen=True)
 class SentimentFrequencyReport:
-    frequencies: dict[Gender, tuple[float, float, float]]
-    tests: dict[Sentiment, TestResult]
+    tests: dict[Sentiment, TestResult]  # mean_a and mean_b are the masc and fem frequencies
 
 
 def sentiment_frequency(params: ModelParams, space: FeatureSpace, prior: SentimentPrior,
@@ -212,19 +210,15 @@ def sentiment_frequency(params: ModelParams, space: FeatureSpace, prior: Sentime
     """
     if params.n_sentiments != 1:
         raise DataError("sentiment-frequency analysis requires the sentiment-collapsed model")
-    groups: dict[Gender, np.ndarray] = {}
-    frequencies: dict[Gender, tuple[float, float, float]] = {}
-    for gender in (Gender.MASC, Gender.FEM):
+    groups = []
+    for gender in GENDERS:
         triples = [prior.get(word) for word, _score in topk(params, space, gender, None, k)]
         triples = [t for t in triples if t is not None]
         if not triples:
             raise DataError(f"no {gender.value} top-k entries in the sentiment lexicon")
-        groups[gender] = np.asarray(triples, dtype=float)
-        frequencies[gender] = tuple(float(x) for x in groups[gender].mean(axis=0))
-    results = _permutation_tests(groups[Gender.MASC], groups[Gender.FEM], permutations,
-                                 seed, alpha / 3.0)
-    return SentimentFrequencyReport(frequencies=frequencies,
-                                    tests=dict(zip(SENTIMENTS, results)))
+        groups.append(np.asarray(triples, dtype=float))
+    results = _permutation_tests(*groups, permutations, seed, alpha / len(SENTIMENTS))
+    return SentimentFrequencyReport(tests=dict(zip(SENTIMENTS, results)))
 
 
 # ---------------------------------------------------------------------------

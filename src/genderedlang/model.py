@@ -18,14 +18,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import CountTable, Gender, GenderLexicon, LexiconEntry, Number
+from .corpus import GENDERS, CountTable, Gender, GenderLexicon, LexiconEntry, Number
 from .errors import DataError, NumericalError
 from .lexicons import SENTIMENTS, Sentiment, SentimentPrior
 
 
 @dataclass(frozen=True)
 class FeatureSpace:
-    """Ordered lexical feature basis: lemmas, then MASC/FEM, then SG/PL."""
+    """Ordered lexical feature basis: lemmas, then the GENDERS, then SG/PL."""
 
     lemmas: tuple[str, ...]
     entries: dict[str, LexiconEntry]            # form -> (lemma, gender, number)
@@ -38,7 +38,7 @@ class FeatureSpace:
         size = len(lemmas)
         bits = {}
         for form, entry in lex.entries.items():
-            gender_pos = size + (0 if entry.gender is Gender.MASC else 1)
+            gender_pos = size + GENDERS.index(entry.gender)
             number_pos = size + 2 + (0 if entry.number is Number.SG else 1)
             bits[form] = (lemma_pos[entry.lemma], gender_pos, number_pos)
         return cls(lemmas=lemmas, entries=lex.entries, form_bits=bits)
@@ -49,14 +49,14 @@ class FeatureSpace:
 
     @property
     def masc_index(self) -> int:
-        return len(self.lemmas)
+        return self.gender_index(Gender.MASC)
 
     @property
     def fem_index(self) -> int:
-        return len(self.lemmas) + 1
+        return self.gender_index(Gender.FEM)
 
     def gender_index(self, gender: Gender) -> int:
-        return self.masc_index if gender is Gender.MASC else self.fem_index
+        return len(self.lemmas) + GENDERS.index(gender)
 
     def _bits(self, form: str) -> tuple[int, int, int]:
         try:
@@ -170,16 +170,25 @@ def _forward(params: ModelParams, F: np.ndarray) -> _Forward:
     return _Forward(F=F, A=A, B=B, c=c, M=M, J=J, N=N, rho=rho)
 
 
-def prior_arrays(prior: SentimentPrior | None, vocab: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """q(s | v) rows and a mask of vocabulary words present in the prior."""
-    q = np.zeros((len(vocab), 3))
+def _regularizer(prior: SentimentPrior | None, vocab: Sequence[str], beta: float
+                 ) -> tuple[np.ndarray, np.ndarray] | None:
+    """q(s | v) rows and the mask of vocabulary words in the prior when beta > 0, else None.
+
+    With no word covered (no prior, an empty one or no overlap) the term
+    would vanish, so beta > 0 is then a DataError.
+    """
+    if beta == 0:
+        return None
+    q = np.zeros((len(vocab), len(SENTIMENTS)))
     mask = np.zeros(len(vocab), dtype=bool)
     if prior is not None:
         for i, word in enumerate(vocab):
             triple = prior.get(word)
             if triple is not None:
-                q[i] = triple
-                mask[i] = True
+                q[i], mask[i] = triple, True
+    if not mask.any():
+        raise DataError(f"posterior regularization (beta={beta:g}) requires a sentiment "
+                        "lexicon that covers at least one vocabulary word")
     return q, mask
 
 
@@ -220,23 +229,25 @@ def _kl_rows(q: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def _objective_from(fw: _Forward, p_hat: np.ndarray, eta: np.ndarray,
-                    q: np.ndarray, mask: np.ndarray, alpha: float, beta: float) -> float:
+                    reg: tuple[np.ndarray, np.ndarray] | None, alpha: float, beta: float) -> float:
     ll = float(np.sum(p_hat * np.log(np.maximum(fw.J, 1e-300))))
     value = ll - alpha * float(np.abs(eta).sum())
-    if beta > 0 and mask.any():
+    if reg is not None:
+        q, mask = reg
         posterior = fw.N / fw.rho[:, None]
         value -= beta * float(_kl_rows(q[mask], posterior[mask]).sum())
     return value
 
 
-def _gradient_from(fw: _Forward, p_hat: np.ndarray, q: np.ndarray, mask: np.ndarray,
+def _gradient_from(fw: _Forward, p_hat: np.ndarray, reg: tuple[np.ndarray, np.ndarray] | None,
                    alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # dO/dM for the likelihood and (when active) the regularizer; everything
     # else is the softmax chain rule applied once to the shared joint M.
     C = (p_hat / fw.J)[:, None, :]
-    if beta > 0 and mask.any():
-        reg = beta * mask[:, None] * (q / np.maximum(fw.N, 1e-300) - 1.0 / fw.rho[:, None])
-        C = C + reg[:, :, None]
+    if reg is not None:
+        q, mask = reg
+        dkl = beta * mask[:, None] * (q / np.maximum(fw.N, 1e-300) - 1.0 / fw.rho[:, None])
+        C = C + dkl[:, :, None]
     E = (C * fw.A).sum(axis=0)                      # (S, G)
     Gu = fw.M * (C - E[None, :, :])
     g_eta = Gu @ fw.F - alpha
@@ -247,11 +258,6 @@ def _gradient_from(fw: _Forward, p_hat: np.ndarray, q: np.ndarray, mask: np.ndar
     return g_eta, g_omega, g_xi
 
 
-def _check_regularizer_inputs(prior: SentimentPrior | None, config: TrainConfig) -> None:
-    if config.beta > 0 and (prior is None or len(prior) == 0):
-        raise DataError("posterior regularization (beta > 0) requires a sentiment lexicon")
-
-
 def objective(params: ModelParams, space: FeatureSpace, table: CountTable,
               prior: SentimentPrior | None, config: TrainConfig) -> float:
     """Maximized objective: likelihood - alpha*||eta||_1 - beta*sum KL(q || p(s|v)).
@@ -260,10 +266,9 @@ def objective(params: ModelParams, space: FeatureSpace, table: CountTable,
     its constant entropy part is included via the exact KL, which is zero
     iff the posterior matches the prior.
     """
-    _check_regularizer_inputs(prior, config)
+    reg = _regularizer(prior, params.vocab, config.beta)
     fw = _forward(params, space.feature_matrix(params.forms))
-    q, mask = prior_arrays(prior if config.beta > 0 else None, params.vocab)
-    return _objective_from(fw, table.p_hat(), params.eta, q, mask, config.alpha, config.beta)
+    return _objective_from(fw, table.p_hat(), params.eta, reg, config.alpha, config.beta)
 
 
 def gradient(params: ModelParams, space: FeatureSpace, table: CountTable,
@@ -275,10 +280,9 @@ def gradient(params: ModelParams, space: FeatureSpace, table: CountTable,
     non-negative feasible set this is the correct subgradient at eta = 0 as
     well as the exact derivative in the interior.
     """
-    _check_regularizer_inputs(prior, config)
+    reg = _regularizer(prior, params.vocab, config.beta)
     fw = _forward(params, space.feature_matrix(params.forms))
-    q, mask = prior_arrays(prior if config.beta > 0 else None, params.vocab)
-    return _gradient_from(fw, table.p_hat(), q, mask, config.alpha, config.beta)
+    return _gradient_from(fw, table.p_hat(), reg, config.alpha, config.beta)
 
 
 # ---------------------------------------------------------------------------
@@ -375,10 +379,9 @@ def train(table: CountTable, space: FeatureSpace, prior: SentimentPrior | None,
     stop sets `converged`.  The trace holds the objective at every iterate.
     Identical inputs give bitwise-identical parameters.
     """
-    _check_regularizer_inputs(prior, config)
+    reg = _regularizer(prior, table.vocab, config.beta)
     params = init_params(table, space, config.n_sentiments)
     p_hat = table.p_hat()
-    q, mask = prior_arrays(prior if config.beta > 0 else None, params.vocab)
     F = space.feature_matrix(params.forms)
     n_eta, n_omega = params.eta.size, params.omega.size
 
@@ -391,8 +394,8 @@ def train(table: CountTable, space: FeatureSpace, prior: SentimentPrior | None,
     def negated(x: np.ndarray) -> tuple[float, np.ndarray]:
         candidate = unpack(x)
         fw = _forward(candidate, F)
-        value = _objective_from(fw, p_hat, candidate.eta, q, mask, config.alpha, config.beta)
-        grads = _gradient_from(fw, p_hat, q, mask, config.alpha, config.beta)
+        value = _objective_from(fw, p_hat, candidate.eta, reg, config.alpha, config.beta)
+        grads = _gradient_from(fw, p_hat, reg, config.alpha, config.beta)
         return -value, -np.concatenate([g.ravel() for g in grads])
 
     x0 = np.concatenate([params.eta.ravel(), params.omega.ravel(), params.xi.ravel()])
@@ -417,7 +420,8 @@ def grid_train_average(table: CountTable, space: FeatureSpace, prior: SentimentP
     The background m is shared by construction.  Cells run independently
     (optionally in a thread pool); the average is taken in fixed grid order,
     so the result is deterministic regardless of scheduling.  A cell listed
-    twice is a DataError.
+    twice, and a beta > 0 cell without a prior covering the vocabulary, are
+    DataErrors raised before any cell trains.
     """
     cells = [(a, b) for a in alphas for b in betas]
     if not cells:
@@ -425,6 +429,7 @@ def grid_train_average(table: CountTable, space: FeatureSpace, prior: SentimentP
     repeated = sorted({cell for cell in cells if cells.count(cell) > 1})
     if repeated:  # `runs` keeps one result per cell, so the average must too
         raise DataError(f"repeated grid cell(s) (alpha, beta): {repeated}")
+    _regularizer(prior, table.vocab, max(b for _, b in cells))
 
     def run_cell(cell: tuple[float, float]) -> TrainResult:
         a, b = cell

@@ -18,10 +18,14 @@ from .errors import DataError, NumericalError
 from .evaluation import _midranks, spearman
 from .model import _lbfgs
 
+# Default cap and saturation target of the restricted fit (see restricted_train).
+PROP1_MAX_ITERATIONS = 50000
+SATURATION_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class GenderCollapsedTable:
-    """Counts #(neighbor, gender), shape (|V|, 2) in (MASC, FEM) column order, neighbors sorted."""
+    """Counts #(neighbor, gender), shape (|V|, 2) in GENDERS column order, neighbors sorted."""
 
     matrix: np.ndarray
     vocab: tuple[str, ...]
@@ -31,7 +35,7 @@ class GenderCollapsedTable:
         return int(self.matrix.sum())
 
     def count_matrix(self) -> np.ndarray:
-        """Dense counts, shape (|V|, 2) in (MASC, FEM) column order."""
+        """Dense counts, shape (|V|, 2) in GENDERS column order."""
         return self.matrix
 
 
@@ -40,26 +44,32 @@ def collapse_by_gender(table: CountTable, lex: GenderLexicon) -> GenderCollapsed
     return GenderCollapsedTable(table.count_matrix() @ gender_onehot(table.forms, lex), table.vocab)
 
 
+def _pmi_ratio(counts: np.ndarray, total: int) -> np.ndarray:
+    """exp(PMI) = p(v, g) / (p(v) p(g)) of every cell of (|V|, 2) counts summing to total."""
+    p_v = counts.sum(axis=1) / total
+    p_g = counts.sum(axis=0) / total
+    with np.errstate(invalid="ignore"):  # 0/0 where a marginal is zero; callers skip those cells
+        return (counts / total) / (p_v[:, None] * p_g[None, :])
+
+
 def pmi_table(gtable: GenderCollapsedTable) -> dict[tuple[str, Gender], float]:
     """PMI for every pair with a positive count; zero-count pairs are absent."""
     counts = gtable.count_matrix()
-    total = gtable.total
-    p_v = counts.sum(axis=1) / total
-    p_g = counts.sum(axis=0) / total
-    return {(gtable.vocab[i], GENDERS[j]): math.log((counts[i, j] / total) / (p_v[i] * p_g[j]))
+    ratio = _pmi_ratio(counts, gtable.total)
+    return {(gtable.vocab[i], GENDERS[j]): math.log(ratio[i, j])
             for i, j in zip(*np.nonzero(counts > 0))}
 
 
 @dataclass
 class RestrictedResult:
-    """Unconstrained MLE deviations eta*, shape (|V|, 2) in (MASC, FEM) order."""
+    """Unconstrained MLE deviations eta*, shape (|V|, 2) in GENDERS column order."""
 
     eta: np.ndarray
     iterations: int
 
 
-def restricted_train(gtable: GenderCollapsedTable, max_iterations: int = 50000,
-                     saturation_tol: float = 1e-8) -> RestrictedResult:
+def restricted_train(gtable: GenderCollapsedTable, max_iterations: int = PROP1_MAX_ITERATIONS,
+                     saturation_tol: float = SATURATION_TOL) -> RestrictedResult:
     """Fit the sentiment-free, gender-only model to saturation by L-BFGS.
 
     The fit maximizes sum_g sum_v p_hat(v|g) log p(v|g) with no bounds and
@@ -110,22 +120,18 @@ def _rank_correlation(x: np.ndarray, y: np.ndarray) -> float:
     return spearman(x, y)
 
 
-def prop1_check(gtable: GenderCollapsedTable, max_iterations: int = 50000,
-                saturation_tol: float = 1e-8) -> Prop1Report:
+def prop1_check(gtable: GenderCollapsedTable, max_iterations: int = PROP1_MAX_ITERATIONS,
+                saturation_tol: float = SATURATION_TOL) -> Prop1Report:
     """Compare the restricted model's normalized scores to normalized exp(PMI)."""
     result = restricted_train(gtable, max_iterations, saturation_tol)
-    counts = gtable.count_matrix()
-    total = counts.sum()
-    p_v = counts.sum(axis=1) / total
-    p_g = counts.sum(axis=0) / total
+    ratio = _pmi_ratio(gtable.count_matrix(), gtable.total)
 
     max_dev: dict[Gender, float] = {}
     rank_corr: dict[Gender, float] = {}
     for j, gender in enumerate(GENDERS):
         tau = np.exp(result.eta[:, j] - result.eta[:, j].max())
         tau /= tau.sum()
-        epmi = (counts[:, j] / total) / (p_v * p_g[j])
-        epmi /= epmi.sum()
+        epmi = ratio[:, j] / ratio[:, j].sum()
         max_dev[gender] = float(np.abs(tau - epmi).max())
         rank_corr[gender] = _rank_correlation(tau, epmi)
     return Prop1Report(max_deviation=max_dev, rank_correlation=rank_corr, restricted=result)

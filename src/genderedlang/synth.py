@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Gender, GenderLexicon, Pair, Relation, aggregate_counts, write_canonical
-from .lexicons import SenseKind, Sentiment
+from .lexicons import SENTIMENTS, SenseKind
 from .model import FeatureSpace, ModelParams, joint_marginal
 
 # Base body-sense weights are drawn below 0.18, so a planted shift up to this
@@ -49,8 +49,8 @@ def generate(config: SynthConfig, lex: GenderLexicon) -> SynthData:
     """Sample a planted-truth corpus; deterministic given config.seed."""
     rng = np.random.default_rng(config.seed)
     space = FeatureSpace.from_lexicon(lex)
-    masc_pool = [f for f in lex.forms() if lex.gender_of(f) is Gender.MASC]
-    fem_pool = [f for f in lex.forms() if lex.gender_of(f) is Gender.FEM]
+    masc_pool = [f for f in lex.forms() if lex.entries[f].gender is Gender.MASC]
+    fem_pool = [f for f in lex.forms() if lex.entries[f].gender is Gender.FEM]
     # 36 noun forms carry probability mass, half of each gender.
     per_gender = max(1, min(18, len(masc_pool), len(fem_pool)))
     forms = tuple(sorted(
@@ -129,8 +129,7 @@ def generate(config: SynthConfig, lex: GenderLexicon) -> SynthData:
         "planted_body_fem": config.planted_body_fem,
         "fem_words": [vocab[v] for v in fem_ids],
         "masc_words": [vocab[v] for v in masc_ids],
-        "dominant_sentiment": {vocab[v]: Sentiment(("pos", "neg", "neu")[s]).value
-                               for v, s in dominant.items()},
+        "dominant_sentiment": {vocab[v]: SENTIMENTS[s].value for v, s in dominant.items()},
         "true_mean_body_fem": float(np.mean([true_body[v] for v in fem_ids])),
         "true_mean_body_masc": float(np.mean([true_body[v] for v in masc_ids])),
         "true_mean_body_filler": float(np.mean([true_body[v] for v in range(config.vocab_size)

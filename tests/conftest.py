@@ -8,7 +8,7 @@ from genderedlang.corpus import (Gender, GenderLexicon, LexiconEntry, Number, Pa
                                  Relation, aggregate_counts, bundled_lexicon_path,
                                  load_gender_lexicon)
 from genderedlang.lexicons import SenseKind, load_sense_inventory, load_sentiment_lexicon
-from genderedlang.model import FeatureSpace, _forward, prior_arrays
+from genderedlang.model import FeatureSpace, _forward, _regularizer
 
 DATA = Path(__file__).parent / "data"
 
@@ -53,7 +53,7 @@ def sentiment_posterior(params, space):
 
 def mean_posterior_kl(params, space, prior):
     """Mean of KL(q(s | v) || p(s | v)) over the words the prior covers, one word at a time."""
-    q, mask = prior_arrays(prior, params.vocab)
+    q, mask = _regularizer(prior, params.vocab, beta=1.0)
     posterior = sentiment_posterior(params, space)
     kls = [sum(q_s * math.log(q_s / p_s) for q_s, p_s in zip(q[v], posterior[v]) if q_s > 0)
            for v in np.flatnonzero(mask)]

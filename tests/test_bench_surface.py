@@ -7,7 +7,8 @@ them.  perfbench/ is kept fixed between benchmark changes, so a rename, a
 deletion or a changed call signature in the package has to fail here.  The
 scripts in scripts/ have no tests of their own, so their package imports
 and calls are checked the same way.  In the other direction, every public
-function and class of the package must have a caller outside the tests.
+function, class, method and property of the package must have a caller
+outside the tests.
 """
 
 import ast
@@ -113,11 +114,12 @@ def _defines(stmt: ast.stmt) -> str | None:
 def test_every_public_name_has_a_caller():
     """Each public module-level function and class in the package (its __init__
     re-exports aside) is named in src/, scripts/ or perfbench/ outside its own
-    definition, and each annotated class field is read there as an attribute,
-    so nothing is kept alive by the tests alone.  A read through an argparse
-    namespace named `args` reads a command-line option, not a class field, so
-    it does not count; a field is still matched by its name alone, whatever
-    the class of the object it is read from."""
+    definition, and each annotated class field and each public method or
+    property is read there as an attribute, so nothing is kept alive by the
+    tests alone.  A read through an argparse namespace named `args` reads a
+    command-line option, not a class member, so it does not count; a member
+    is still matched by its name alone, whatever the class of the object it
+    is read from."""
     referrers = [*PACKAGE, *sorted((ROOT / "scripts").glob("*.py")),
                  *sorted((ROOT / "perfbench").glob("*.py"))]
     referenced: set[str] = set()
@@ -148,6 +150,14 @@ def test_every_public_name_has_a_caller():
     assert len(fields) >= 30
     unread = [f"{cls}.{name}" for cls, name in fields if name not in read]
     assert not unread, f"class fields never read outside the tests: {', '.join(unread)}"
+    methods = [(cls.name, stmt.name) for path in PACKAGE
+               for cls in ast.parse(path.read_text(encoding="utf-8")).body
+               if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+               for stmt in cls.body
+               if _defines(stmt) and not stmt.name.startswith("_")]
+    assert len(methods) >= 15
+    uncalled = [f"{cls}.{name}" for cls, name in methods if name not in read]
+    assert not uncalled, f"methods never called outside the tests: {', '.join(uncalled)}"
 
 
 @pytest.mark.parametrize("name", ["iter_arcs", "iter_canonical"])

@@ -311,6 +311,19 @@ class TestTrain:
                      "--beta-grid", "1", "--out", str(tmp_path / "o")])
         assert code == 2
 
+    @pytest.mark.parametrize("lexicon", ["# no rows\n", "not-a-neighbor\t1\t2\t3\n"],
+                             ids=["empty", "no_overlap"])
+    def test_sentiment_lexicon_covering_no_word_with_beta(self, tmp_path, monkeypatch, lexicon):
+        fits = []
+        lbfgs = model._lbfgs
+        monkeypatch.setattr(model, "_lbfgs", lambda *args: fits.append(1) or lbfgs(*args))
+        (tmp_path / "sentiment.tsv").write_text(lexicon, encoding="utf-8")
+        code = main(["train", "--corpus", str(DATA / "toy_corpus.tsv"), "--relation", "amod",
+                     "--sentiment-lexicon", str(tmp_path / "sentiment.tsv"),
+                     "--beta-grid", "0,1", "--max-iterations", "5", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert fits == []  # rejected before the beta = 0 cell trains
+
     def test_no_sentiment_with_beta_grid_is_usage_error(self, tmp_path):
         code = main(["train", "--corpus", str(DATA / "toy_corpus.tsv"), "--relation", "amod",
                      "--no-sentiment", "--beta-grid", "1", "--out", str(tmp_path / "o")])
@@ -339,6 +352,17 @@ class TestTrain:
         doc = json.loads((out / "checkpoint_alpha0.001_beta0.json").read_text())
         assert doc["config"]["max_iterations"] == 60  # flag wins over config
         assert doc["config"]["n_sentiments"] == 1
+
+    def test_config_repeatable_flag_given_on_command_line(self, tmp_path):
+        # the command line's --input replaces the config's, so the file is read once
+        config = tmp_path / "run.conf"
+        config.write_text(f"input = {DATA / 'toy.arcs'}\n", encoding="utf-8")
+        assert main(["ingest", "--input", str(DATA / "toy.arcs"),
+                     "--out", str(tmp_path / "plain")]) == 0
+        assert main(["ingest", "--config", str(config), "--input", str(DATA / "toy.arcs"),
+                     "--out", str(tmp_path / "conf")]) == 0
+        for name in ("stats.json", "amod.tsv"):
+            assert (tmp_path / "conf" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
     def test_config_value_keeps_its_hash(self, tmp_path):
         # Only a line that starts with # is a comment; a # inside a value is part of it.

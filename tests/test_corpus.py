@@ -8,9 +8,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from genderedlang.corpus import (Gender, IngestStats, Number, Pair, Relation,
+from genderedlang.corpus import (GENDERS, Gender, IngestStats, Number, Pair, Relation,
                                  aggregate_by_relation, aggregate_counts, gender_marginals,
-                                 iter_arcs, iter_canonical, load_gender_lexicon,
+                                 gender_onehot, iter_arcs, iter_canonical, load_gender_lexicon,
                                  parse_arcs_line, read_lines, write_canonical)
 from genderedlang.errors import DataError, MalformedLineError
 from genderedlang.pmi import collapse_by_gender
@@ -98,6 +98,13 @@ class TestFeaturize:
         assert set(np.unique(F)) == {0.0, 1.0}
         assert (F.sum(axis=1) == 3).all()
 
+    def test_gender_columns_match_gender_onehot(self, lexicon, space):
+        # the feature space and the gender-collapsed counts share one gender order
+        forms = lexicon.forms()
+        F = space.feature_matrix(forms)
+        assert np.array_equal(F[:, [space.gender_index(g) for g in GENDERS]],
+                              gender_onehot(forms, lexicon))
+
     def test_injective_up_to_row_structure(self, lexicon, space):
         rows = space.feature_matrix(lexicon.forms())
         vectors = {form: tuple(row) for form, row in zip(lexicon.forms(), rows)}
@@ -111,46 +118,51 @@ class TestFeaturize:
 class TestParseArcs:
     def test_amod_example(self, lexicon):
         line = "woman\tpretty/JJ/amod/2 woman/NN/ROOT/0\t42\t1999,2 2000,40"
-        assert parse_arcs_line(line, lexicon) == [Pair("woman", "pretty", Relation.AMOD, 42)]
+        assert parse_arcs_line(line) == [Pair("woman", "pretty", Relation.AMOD, 42)]
 
     def test_nsubj_orientation(self, lexicon):
         line = "laughed\twoman/NN/nsubj/2 laughed/VBD/ROOT/0\t17\t1990,17"
-        assert parse_arcs_line(line, lexicon) == [Pair("woman", "laughed", Relation.NSUBJ, 17)]
+        assert parse_arcs_line(line) == [Pair("woman", "laughed", Relation.NSUBJ, 17)]
 
     def test_dobj_orientation(self, lexicon):
         line = "praised\tqueen/NN/dobj/2 praised/VBD/ROOT/0\t8\t1992,8"
-        assert parse_arcs_line(line, lexicon) == [Pair("queen", "praised", Relation.DOBJ, 8)]
+        assert parse_arcs_line(line) == [Pair("queen", "praised", Relation.DOBJ, 8)]
 
     def test_filtered_relation(self, lexicon):
         line = "woman\tof/IN/prep/2 woman/NN/ROOT/0\t50\t1994,50"
-        assert parse_arcs_line(line, lexicon) == []
+        assert parse_arcs_line(line) == []
 
-    def test_non_lexicon_noun_filtered(self, lexicon):
+    def test_non_lexicon_noun_filtered(self, lexicon, tmp_path):
         line = "table\told/JJ/amod/2 table/NN/ROOT/0\t99\t1993,99"
-        assert parse_arcs_line(line, lexicon) == []
+        assert parse_arcs_line(line) == [Pair("table", "old", Relation.AMOD, 99)]
+        path = tmp_path / "table.arcs"
+        path.write_text(line + "\n", encoding="utf-8")
+        stats = IngestStats()
+        assert list(iter_arcs(path, lexicon, stats)) == []
+        assert stats == IngestStats(lines=1, malformed=0, unknown_forms=1)
 
     def test_case_folding(self, lexicon):
         line = "Queen\tGracious/JJ/amod/2 Queen/NN/ROOT/0\t7\t2001,7"
-        assert parse_arcs_line(line, lexicon) == [Pair("queen", "gracious", Relation.AMOD, 7)]
+        assert parse_arcs_line(line) == [Pair("queen", "gracious", Relation.AMOD, 7)]
 
     def test_multiple_arcs_in_one_ngram(self, lexicon):
         line = "loved\twoman/NN/nsubj/3 pretty/JJ/amod/1 loved/VBD/ROOT/0\t6\t1997,6"
-        pairs = parse_arcs_line(line, lexicon)
+        pairs = parse_arcs_line(line)
         assert Pair("woman", "loved", Relation.NSUBJ, 6) in pairs
         assert Pair("woman", "pretty", Relation.AMOD, 6) in pairs
         assert len(pairs) == 2
 
     def test_truncated_line_malformed(self, lexicon):
         with pytest.raises(MalformedLineError):
-            parse_arcs_line("woman\t", lexicon)
+            parse_arcs_line("woman\t")
 
     def test_bad_token_arity_malformed(self, lexicon):
         with pytest.raises(MalformedLineError):
-            parse_arcs_line("man\tpretty/JJ/amod\t13\t1995,13", lexicon)
+            parse_arcs_line("man\tpretty/JJ/amod\t13\t1995,13")
 
     def test_bad_count_malformed(self, lexicon):
         with pytest.raises(MalformedLineError):
-            parse_arcs_line("girl\tyoung/JJ/amod/2 girl/NN/ROOT/0\toops\t1996,1", lexicon)
+            parse_arcs_line("girl\tyoung/JJ/amod/2 girl/NN/ROOT/0\toops\t1996,1")
 
     def test_every_injected_malformed_kind_raises(self, lexicon, monkeypatch):
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -160,12 +172,13 @@ class TestParseArcs:
         for kind in workloads.MALFORMED_KINDS:
             line = workloads._malformed_line(kind, "woman", "pretty")
             with pytest.raises(MalformedLineError):
-                parse_arcs_line(line, lexicon)
+                parse_arcs_line(line)
 
     def test_bulk_reader_counts_malformed(self, lexicon):
         stats = IngestStats()
         pairs = list(iter_arcs(DATA / "toy.arcs", lexicon, stats))
         assert stats.malformed == 3
+        assert stats.unknown_forms == 1  # the `table old/JJ/amod` line
         # year-aggregated duplicates are left for the aggregator
         amod_pairs = [p for p in pairs if p.relation is Relation.AMOD]
         assert Pair("woman", "pretty", Relation.AMOD, 42) in amod_pairs

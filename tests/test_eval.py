@@ -370,8 +370,8 @@ class TestSentimentFrequency:
         params = params_with_scores(lexicon, space, vocab=vocab, n_sentiments=1)
         prior = SentimentPrior(probs={w: (1.0, 0.0, 0.0) for w in vocab})
         report = sentiment_frequency(params, space, prior, k=8, permutations=200, seed=0)
-        for gender in (Gender.MASC, Gender.FEM):
-            assert report.frequencies[gender] == (1.0, 0.0, 0.0)
+        for side in ("mean_a", "mean_b"):  # masc, fem
+            assert tuple(getattr(report.tests[s], side) for s in SENTIMENTS) == (1.0, 0.0, 0.0)
         assert not any(t.significant for t in report.tests.values())
 
     def test_planted_positive_skew_detected(self, lexicon, space):
@@ -393,7 +393,7 @@ class TestSentimentFrequency:
         report = sentiment_frequency(params, space, SentimentPrior(probs=probs), k=12,
                                      permutations=5000, seed=0)
         assert report.tests[POS].significant
-        assert report.frequencies[Gender.FEM][0] > report.frequencies[Gender.MASC][0]
+        assert report.tests[POS].mean_b > report.tests[POS].mean_a  # fem > masc
 
     @pytest.mark.parametrize("k", [5, 12])
     def test_tests_match_permutation_test_on_their_columns(self, lexicon, space, monkeypatch, k):

@@ -422,6 +422,17 @@ class TestTrain:
         with pytest.raises(DataError, match="sentiment lexicon"):
             train(toy_table, space, None, TrainConfig(beta=1.0))
 
+    def test_beta_with_prior_covering_no_word_rejected(self, toy_table, space):
+        # the regularizer would be empty, so the run would train as beta = 0
+        prior = SentimentPrior(probs={"not-a-neighbor": (0.2, 0.3, 0.5)})
+        config = TrainConfig(beta=1.0)
+        params = init_params(toy_table, space)
+        for call in (lambda: train(toy_table, space, prior, config),
+                     lambda: objective(params, space, toy_table, prior, config),
+                     lambda: gradient(params, space, toy_table, prior, config)):
+            with pytest.raises(DataError, match="sentiment lexicon"):
+                call()
+
     def test_distributions_normalized_after_training(self, toy_table, space, toy_prior):
         result = train(toy_table, space, toy_prior,
                        TrainConfig(alpha=1e-4, beta=0.5, max_iterations=100))
@@ -450,6 +461,18 @@ class TestGrid:
         grid = grid_train_average(toy_table, space, toy_prior, alphas, betas, base)
         manual = np.mean([grid.runs[(a, b)].params.eta for a in alphas for b in betas], axis=0)
         assert np.array_equal(grid.params.eta, manual)
+
+    @pytest.mark.parametrize("probs", [{}, {"not-a-neighbor": (0.2, 0.3, 0.5)}],
+                             ids=["empty", "no_overlap"])
+    def test_uncovered_prior_rejected_before_any_cell_trains(self, toy_table, space,
+                                                             monkeypatch, probs):
+        fits = []
+        lbfgs = model._lbfgs
+        monkeypatch.setattr(model, "_lbfgs", lambda *args: fits.append(1) or lbfgs(*args))
+        with pytest.raises(DataError, match="sentiment lexicon"):
+            grid_train_average(toy_table, space, SentimentPrior(probs=probs), [0.0], [0.0, 1.0],
+                               TrainConfig(max_iterations=5))
+        assert fits == []
 
     def test_failing_cell_names_pair(self, toy_table, space, toy_prior, monkeypatch):
         monkeypatch.setattr(model, "_objective_from", lambda *args: float("nan"))

@@ -36,7 +36,7 @@ class TestGenerate:
     def test_active_forms_are_gender_balanced(self, lexicon):
         data = generate(SynthConfig(seed=5, vocab_size=60), lexicon)
         forms = {form for form, *_ in data.pairs}
-        genders = [lexicon.gender_of(f) for f in forms]
+        genders = [lexicon.entries[f].gender for f in forms]
         assert genders.count(Gender.MASC) > 0 and genders.count(Gender.FEM) > 0
         assert len(forms) <= 36
 
