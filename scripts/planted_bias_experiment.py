@@ -3,29 +3,32 @@
 
 For each effect size, runs synth -> train -> sense tests over several seeds
 and reports how often the body/pos difference is flagged at the
-Bonferroni-corrected level.  Library-level (no file IO), so it is the
-fastest way to explore generator and grid settings.
+Bonferroni-corrected level.  Each draw's sentiment lexicon and sense
+inventory are written to a temporary directory and read back with the
+package loaders, so they follow the same rules as the CLI's; training and
+testing run in-process, so it is the fastest way to explore generator and
+grid settings.
 """
 
 import argparse
+import tempfile
 import time
 
 from genderedlang.corpus import Relation, aggregate_counts, bundled_lexicon_path, load_gender_lexicon
 from genderedlang.evaluation import sense_difference_suite
-from genderedlang.lexicons import SenseInventory, SenseKind, SentimentPrior
+from genderedlang.lexicons import SenseKind, load_sense_inventory, load_sentiment_lexicon
 from genderedlang.model import FeatureSpace, TrainConfig, grid_train_average
-from genderedlang.synth import SynthConfig, generate
+from genderedlang.synth import SynthConfig, generate, write_synth
 
 
 def detect(lex, space, seed, effect, args):
     data = generate(SynthConfig(seed=seed, vocab_size=args.vocab_size,
                                 n_pairs=args.n_pairs, planted_body_fem=effect), lex)
     table = aggregate_counts(data.pairs, Relation.AMOD, lex)
-    prior = SentimentPrior(probs={
-        w: (a / (a + b + c), b / (a + b + c), c / (a + b + c))
-        for w, a, b, c in data.sentiment_rows})
-    inventory = SenseInventory(kind=SenseKind.ADJ,
-                               weights={w: d for w, d in data.sense_rows})
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = write_synth(tmp, data, lex)
+        prior = load_sentiment_lexicon(paths["sentiment"])
+        inventory = load_sense_inventory(paths["senses"], SenseKind.ADJ)
     grid = grid_train_average(table, space, prior, [0.0, 1e-3], [0.1, 1.0],
                               TrainConfig(max_iterations=args.max_iterations))
     rows = sense_difference_suite(grid.params, space, inventory, k=args.k,

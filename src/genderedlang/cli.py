@@ -26,6 +26,10 @@ from .synth import MAX_PLANTED_BODY_FEM, SynthConfig, generate, write_synth
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # a long flag is spelled in full, as _expand_config matches it
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise UsageError(message)
 
@@ -165,10 +169,9 @@ def cmd_train(args) -> int:
 
 def cmd_report_topk(args) -> int:
     loaded = ckpt.load_checkpoint(args.checkpoint)
-    sentiments = list(SENTIMENTS) if loaded.params.n_sentiments == 3 else [None]
     rows = []
     for gender in GENDERS:
-        for sentiment in sentiments:
+        for sentiment in loaded.params.sentiments:
             ranked = ev.topk(loaded.params, loaded.space, gender, sentiment, args.k)
             for rank, (word, value) in enumerate(ranked, start=1):
                 rows.append([gender.value, sentiment.value if sentiment else "none",
@@ -184,8 +187,7 @@ def cmd_report_pmi(args) -> int:
     values = pmi_table(gtable)
     rows = []
     for gender in GENDERS:
-        pairs = [(word, v) for (word, g), v in values.items() if g is gender]
-        pairs.sort(key=lambda item: (-item[1], item[0]))
+        pairs = ev.ranked((word, v) for (word, g), v in values.items() if g is gender)
         rows.extend([gender.value, word, v] for word, v in pairs)
     _write_tsv(args.out, ["gender", "neighbor", "pmi"], rows)
     return 0
@@ -208,9 +210,9 @@ def cmd_report_senses(args) -> int:
 def cmd_report_sentiment(args) -> int:
     loaded = ckpt.load_checkpoint(args.checkpoint)
     prior = load_sentiment_lexicon(args.sentiment_lexicon)
-    report = ev.sentiment_frequency(loaded.params, loaded.space, prior, k=args.k,
-                                    permutations=args.permutations, seed=args.seed)
-    tests = [report.tests[s] for s in SENTIMENTS]
+    results = ev.sentiment_frequency(loaded.params, loaded.space, prior, k=args.k,
+                                     permutations=args.permutations, seed=args.seed)
+    tests = [results[s] for s in SENTIMENTS]
     sig = [str(t.significant).lower() for t in tests]
     means = [[t.mean_a for t in tests], [t.mean_b for t in tests]]
     rows = [[loaded.relation, g.value, *freqs, *sig] for g, freqs in zip(GENDERS, means)]

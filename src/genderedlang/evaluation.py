@@ -18,19 +18,23 @@ import numpy as np
 from .corpus import GENDERS, Gender
 from .errors import DataError, NumericalError
 from .lexicons import SENTIMENTS, SenseInventory, Sentiment, SentimentPrior
-from .model import FeatureSpace, ModelParams, _forward, sentiment_index
+from .model import FeatureSpace, ModelParams, _forward
+
+
+def ranked(pairs) -> tuple[tuple[str, float], ...]:
+    """(word, score) pairs, score-descending; ties broken lexicographically."""
+    return tuple(sorted(pairs, key=lambda pair: (-pair[1], pair[0])))
 
 
 def topk(params: ModelParams, space: FeatureSpace, gender: Gender,
          sentiment: Sentiment | None, k: int) -> tuple[tuple[str, float], ...]:
-    """The k largest-deviation (neighbor, score) pairs, score-descending; ties
-    broken lexicographically."""
+    """The k largest-deviation (neighbor, score) pairs, in `ranked` order."""
     if k <= 0:
         raise DataError("k must be positive")
-    s = sentiment_index(params, sentiment)
-    scores = params.eta[:, s, space.gender_index(gender)]
-    order = sorted(range(len(params.vocab)), key=lambda i: (-scores[i], params.vocab[i]))
-    return tuple((params.vocab[i], float(scores[i])) for i in order[:k])
+    if sentiment not in params.sentiments:
+        raise DataError(f"{sentiment} is not a sentiment axis of this model")
+    scores = params.eta[:, params.sentiments.index(sentiment), space.gender_index(gender)]
+    return ranked(zip(params.vocab, scores.tolist()))[:k]
 
 
 # ---------------------------------------------------------------------------
@@ -149,21 +153,16 @@ class SenseTestRow:
     result: TestResult  # mean_a and mean_b are the masc and fem sense frequencies
 
 
-def _sense_groups(params: ModelParams, space: FeatureSpace, inventory: SenseInventory,
-                  gender: Gender, sentiments, k: int) -> np.ndarray:
-    """(covered words, senses) weights of the covered words of pooled top-k lists."""
-    words: list[str] = []
-    seen: set[str] = set()
-    for sentiment in sentiments:
-        ranked = topk(params, space, gender, sentiment, k)
-        if not any(word in inventory for word, _score in ranked):
-            raise DataError("no entries in inventory")
-        for word, _score in ranked:
-            if word not in seen:
-                seen.add(word)
-                words.append(word)
-    return np.array([[inventory.get(w).get(sense, 0.0) for sense in inventory.kind.senses]
-                     for w in words if w in inventory], dtype=float)
+def _topk_rows(params: ModelParams, space: FeatureSpace, gender: Gender, sentiments,
+               k: int, lookup) -> np.ndarray:
+    """The `lookup(word)` rows of the distinct words of the pooled top-k lists, in
+    first-seen order; a word `lookup` maps to None is skipped."""
+    words = dict.fromkeys(word for sentiment in sentiments
+                          for word, _score in topk(params, space, gender, sentiment, k))
+    rows = [row for row in map(lookup, words) if row is not None]
+    if not rows:
+        raise DataError(f"no {gender.value} top-{k} word is in the lexicon")
+    return np.asarray(rows, dtype=float)
 
 
 def sense_difference_suite(params: ModelParams, space: FeatureSpace,
@@ -177,48 +176,42 @@ def sense_difference_suite(params: ModelParams, space: FeatureSpace,
     appended with label "all".  A family's tests share one permutation
     stream drawn from `seed`; Bonferroni is unchanged.
     """
-    if params.n_sentiments == 3:
-        groupings: list[tuple[str, tuple]] = [(s.value, (s,)) for s in SENTIMENTS]
-        groupings.append(("all", tuple(SENTIMENTS)))
-    else:
-        groupings = [("none", (None,))]
-    corrected = alpha / len(inventory.kind.senses)
+    families = [(s.value if s else "none", (s,)) for s in params.sentiments]
+    if len(params.sentiments) > 1:
+        families.append(("all", params.sentiments))
+    senses = inventory.kind.senses
+
+    def weights(word: str) -> list[float] | None:
+        dist = inventory.get(word)
+        return None if dist is None else [dist.get(sense, 0.0) for sense in senses]
+
+    corrected = alpha / len(senses)
     rows: list[SenseTestRow] = []
-    for label, sentiments in groupings:
-        masc, fem = (_sense_groups(params, space, inventory, g, sentiments, k) for g in GENDERS)
+    for label, sentiments in families:
+        masc, fem = (_topk_rows(params, space, g, sentiments, k, weights) for g in GENDERS)
         results = _permutation_tests(masc, fem, permutations, seed, corrected)
         rows.extend(SenseTestRow(sentiment=label, sense=sense, result=result)
-                    for sense, result in zip(inventory.kind.senses, results))
+                    for sense, result in zip(senses, results))
     return rows
-
-
-@dataclass(frozen=True)
-class SentimentFrequencyReport:
-    tests: dict[Sentiment, TestResult]  # mean_a and mean_b are the masc and fem frequencies
 
 
 def sentiment_frequency(params: ModelParams, space: FeatureSpace, prior: SentimentPrior,
                         k: int = 200, permutations: int = 100_000, seed: int = 0,
-                        alpha: float = 0.05) -> SentimentFrequencyReport:
+                        alpha: float = 0.05) -> dict[Sentiment, TestResult]:
     """Sentiment-frequency analysis of the collapsed (sentiment-free) model.
 
     For each gender, the top-k deviation list is scored by the external
     prior: frequency of sentiment s is the mean q(s | word) over covered
     words, tested male-vs-female per sentiment at alpha / 3.  A family's
     tests share one permutation stream drawn from `seed`; Bonferroni is
-    unchanged.
+    unchanged.  Each result's mean_a and mean_b are the masc and fem
+    frequencies.
     """
-    if params.n_sentiments != 1:
+    if params.sentiments != (None,):
         raise DataError("sentiment-frequency analysis requires the sentiment-collapsed model")
-    groups = []
-    for gender in GENDERS:
-        triples = [prior.get(word) for word, _score in topk(params, space, gender, None, k)]
-        triples = [t for t in triples if t is not None]
-        if not triples:
-            raise DataError(f"no {gender.value} top-k entries in the sentiment lexicon")
-        groups.append(np.asarray(triples, dtype=float))
-    results = _permutation_tests(*groups, permutations, seed, alpha / len(SENTIMENTS))
-    return SentimentFrequencyReport(tests=dict(zip(SENTIMENTS, results)))
+    masc, fem = (_topk_rows(params, space, g, params.sentiments, k, prior.get) for g in GENDERS)
+    results = _permutation_tests(masc, fem, permutations, seed, alpha / len(SENTIMENTS))
+    return dict(zip(SENTIMENTS, results))
 
 
 # ---------------------------------------------------------------------------

@@ -111,9 +111,6 @@ class SenseInventory:
     kind: SenseKind
     weights: dict[str, dict[str, float]]
 
-    def __contains__(self, word: str) -> bool:
-        return word.lower() in self.weights
-
     def get(self, word: str) -> dict[str, float] | None:
         return self.weights.get(word.lower())
 

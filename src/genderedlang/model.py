@@ -89,8 +89,9 @@ class ModelParams:
     xi: np.ndarray
 
     @property
-    def n_sentiments(self) -> int:
-        return self.eta.shape[1]
+    def sentiments(self) -> tuple[Sentiment | None, ...]:
+        """The sentiment of each eta slot; (None,) for the collapsed model."""
+        return SENTIMENTS if self.eta.shape[1] == 3 else (None,)
 
     def vocab_index(self, neighbor: str) -> int:
         try:
@@ -114,24 +115,14 @@ class TrainConfig:
     n_sentiments: int = 3
 
     def __post_init__(self) -> None:
-        if self.alpha < 0 or self.beta < 0:
+        if not (self.alpha >= 0 and self.beta >= 0):  # NaN fails too
             raise ValueError("alpha and beta must be non-negative")
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
         if self.n_sentiments not in (1, 3):
             raise ValueError("n_sentiments must be 1 or 3")
         if self.n_sentiments == 1 and self.beta != 0:
             raise ValueError("posterior regularizer requires the 3-sentiment model")
-
-
-def sentiment_index(params: ModelParams, sentiment: Sentiment | None) -> int:
-    if params.n_sentiments == 1:
-        if sentiment is not None:
-            raise DataError("sentiment-collapsed model has no sentiment axes")
-        return 0
-    if sentiment is None:
-        raise DataError("full model requires a sentiment")
-    return SENTIMENTS.index(sentiment)
 
 
 # ---------------------------------------------------------------------------

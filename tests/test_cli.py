@@ -364,6 +364,16 @@ class TestTrain:
         for name in ("stats.json", "amod.tsv"):
             assert (tmp_path / "conf" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
+    def test_abbreviated_flag_is_usage_error(self, tmp_path):
+        # an explicit flag drops its config key only when spelled in full, so an
+        # abbreviation accepted here would read the config's input a second time
+        config = tmp_path / "run.conf"
+        config.write_text(f"input = {DATA / 'toy.arcs'}\n", encoding="utf-8")
+        out = tmp_path / "conf"
+        assert main(["ingest", "--config", str(config), "--inp", str(DATA / "toy.arcs"),
+                     "--out", str(out)]) == 1
+        assert not out.exists()
+
     def test_config_value_keeps_its_hash(self, tmp_path):
         # Only a line that starts with # is a comment; a # inside a value is part of it.
         (tmp_path / "a.txt").write_text("1\n2\n3\n")

@@ -83,6 +83,15 @@ class TestTopk:
                 assert sorted(w for w, _ in ranked) == sorted(params.vocab)
                 assert all(value == 0.0 for _, value in ranked)
 
+    @pytest.mark.parametrize("n_sentiments, sentiment", [(3, None), (1, POS)],
+                             ids=["full-none", "collapsed-pos"])
+    def test_sentiment_must_be_an_axis_of_the_model(self, lexicon, space, n_sentiments,
+                                                    sentiment):
+        params = params_with_scores(lexicon, space, vocab=["a", "b", "c"],
+                                    n_sentiments=n_sentiments)
+        with pytest.raises(DataError, match="not a sentiment axis"):
+            topk(params, space, Gender.FEM, sentiment, 2)
+
 class TestSenseProfile:
     """Per-sense means of a top-k list, as sense_difference_suite reports them."""
 
@@ -119,7 +128,7 @@ class TestSenseProfile:
         assert means["body"] == 1.0
 
     def test_zero_coverage_rejected(self, lexicon, space):
-        with pytest.raises(DataError, match="no entries in inventory"):
+        with pytest.raises(DataError, match="no masc top-2 word is in the lexicon"):
             self.fem_means(lexicon, space, ["x", "y"], {"a": {"body": 1.0}})
 
     def test_frequencies_sum_to_one_over_covered(self, lexicon, space, toy_inventory):
@@ -352,7 +361,7 @@ class TestSenseSuite:
         def column(gender, sentiments, sense):
             words = dict.fromkeys(w for s in sentiments
                                   for w, _ in topk(params, space, gender, s, k))
-            return [inv.get(w).get(sense, 0.0) for w in words if w in inv]
+            return [d.get(sense, 0.0) for d in map(inv.get, words) if d is not None]
 
         assert len(rows) == 4 * 13
         for row in rows:
@@ -369,10 +378,10 @@ class TestSentimentFrequency:
         vocab = [f"w{i}" for i in range(8)]
         params = params_with_scores(lexicon, space, vocab=vocab, n_sentiments=1)
         prior = SentimentPrior(probs={w: (1.0, 0.0, 0.0) for w in vocab})
-        report = sentiment_frequency(params, space, prior, k=8, permutations=200, seed=0)
+        tests = sentiment_frequency(params, space, prior, k=8, permutations=200, seed=0)
         for side in ("mean_a", "mean_b"):  # masc, fem
-            assert tuple(getattr(report.tests[s], side) for s in SENTIMENTS) == (1.0, 0.0, 0.0)
-        assert not any(t.significant for t in report.tests.values())
+            assert tuple(getattr(tests[s], side) for s in SENTIMENTS) == (1.0, 0.0, 0.0)
+        assert not any(t.significant for t in tests.values())
 
     def test_planted_positive_skew_detected(self, lexicon, space):
         fem_words = [f"fem{i:02d}" for i in range(12)]
@@ -390,10 +399,10 @@ class TestSentimentFrequency:
         for w in masc_words:
             p = rng.uniform(0.25, 0.35)
             probs[w] = (p, (1 - p) / 2, (1 - p) / 2)
-        report = sentiment_frequency(params, space, SentimentPrior(probs=probs), k=12,
-                                     permutations=5000, seed=0)
-        assert report.tests[POS].significant
-        assert report.tests[POS].mean_b > report.tests[POS].mean_a  # fem > masc
+        tests = sentiment_frequency(params, space, SentimentPrior(probs=probs), k=12,
+                                    permutations=5000, seed=0)
+        assert tests[POS].significant
+        assert tests[POS].mean_b > tests[POS].mean_a  # fem > masc
 
     @pytest.mark.parametrize("k", [5, 12])
     def test_tests_match_permutation_test_on_their_columns(self, lexicon, space, monkeypatch, k):
@@ -407,14 +416,14 @@ class TestSentimentFrequency:
                                     masc_scores={w: rng.uniform(0, 2) for w in words})
         prior = SentimentPrior(probs={w: tuple(rng.dirichlet([1.0, 1.0, 1.0]))
                                       for w in words[1:]})
-        report = sentiment_frequency(params, space, prior, k=k, permutations=301, seed=7)
+        tests = sentiment_frequency(params, space, prior, k=k, permutations=301, seed=7)
         groups = {g: [prior.get(w) for w, _ in topk(params, space, g, None, k)
                       if prior.get(w) is not None] for g in (Gender.MASC, Gender.FEM)}
         for j, sentiment in enumerate(SENTIMENTS):
             want = permutation_test([t[j] for t in groups[Gender.MASC]],
                                     [t[j] for t in groups[Gender.FEM]],
                                     permutations=301, seed=7, alpha=0.05 / 3)
-            assert report.tests[sentiment] == want  # every field, floats bit for bit
+            assert tests[sentiment] == want  # every field, floats bit for bit
             assert want.exact == (k == 5)
 
     def test_requires_collapsed_model(self, lexicon, space):

@@ -133,7 +133,7 @@ class TestConditionals:
 
 def brute_force_mass(params, space):
     """Loop oracle for the joint p(v, s, n), shape (V, S, G)."""
-    V, S, G = len(params.vocab), params.n_sentiments, len(params.forms)
+    V, S, G = len(params.vocab), params.eta.shape[1], len(params.forms)
     bits = [space.form_bits[f] for f in params.forms]
     out = np.zeros((V, S, G))
     z_xi = sum(math.exp(x) for x in params.xi)
@@ -345,6 +345,12 @@ class TestGradient:
         params.xi = params.xi + step * g_xi
         after = objective(params, tiny_space, table, tiny_prior(), config)
         assert after >= before - 1e-12
+
+
+@pytest.mark.parametrize("field", ["alpha", "beta", "tolerance"])
+def test_train_config_rejects_nan(field):
+    with pytest.raises(ValueError):
+        TrainConfig(**{field: float("nan")})
 
 
 class TestTrain:
