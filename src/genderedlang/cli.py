@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -17,7 +18,8 @@ from . import checkpoint as ckpt
 from . import evaluation as ev
 from .corpus import (GENDERS, Gender, IngestStats, Relation, aggregate_by_relation,
                      aggregate_counts, bundled_lexicon_path, gender_marginals, iter_arcs,
-                     iter_canonical, load_gender_lexicon, read_lines, read_rows, write_canonical)
+                     iter_canonical, load_gender_lexicon, read_lines, read_rows, write_canonical,
+                     write_rows)
 from .pmi import PROP1_MAX_ITERATIONS, SATURATION_TOL, collapse_by_gender, pmi_table, prop1_check
 from .errors import DataError, NumericalError, UsageError
 from .lexicons import (SENTIMENTS, SenseKind, load_sense_inventory, load_sentiment_lexicon)
@@ -34,10 +36,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _checked(kind, accepts, what: str):
     """An argparse ``type=``: the token as `kind`, a usage error unless `accepts(value)`."""
     def parse(token: str):
@@ -50,7 +48,7 @@ def _checked(kind, accepts, what: str):
 
 
 _POSITIVE_INT = _checked(int, lambda v: v > 0, "positive")
-_POSITIVE_FLOAT = _checked(float, lambda v: v > 0, "positive")
+_POSITIVE_FLOAT = _checked(float, lambda v: 0 < v < math.inf, "positive and finite")
 _SEED = _checked(int, lambda v: v >= 0, "non-negative")
 
 
@@ -62,8 +60,8 @@ def _parse_grid(token: str) -> list[float]:
             f"bad grid {token!r}: expected comma-separated floats") from None
     if not values:
         raise argparse.ArgumentTypeError("grids must be non-empty")
-    if not all(v >= 0 for v in values):  # NaN fails too
-        raise argparse.ArgumentTypeError("grid values must be non-negative")
+    if not all(0 <= v < math.inf for v in values):  # NaN fails too
+        raise argparse.ArgumentTypeError("grid values must be non-negative and finite")
     tags = [f"{v:g}" for v in values]  # cell files are named by these tags
     if len(set(tags)) < len(tags):
         raise argparse.ArgumentTypeError(
@@ -74,13 +72,6 @@ def _parse_grid(token: str) -> list[float]:
 def _load_lexicon(args) -> "GenderLexicon":
     path = args.gender_lexicon or bundled_lexicon_path()
     return load_gender_lexicon(path)
-
-
-def _write_tsv(path: str | Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(header) + "\n")
-        for row in rows:
-            fh.write("\t".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +142,7 @@ def cmd_train(args) -> int:
                              extra={"iterations": run.iterations, "converged": run.converged,
                                     "stop_reason": run.stop_reason,
                                     "kkt_residual": run.kkt_residual})
-        _write_tsv(out / f"trace_{tag}.tsv", ["iteration", "objective"],
-                   [[i, v] for i, v in enumerate(run.trace)])
+        write_rows(out / f"trace_{tag}.tsv", [["iteration", "objective"], *enumerate(run.trace)])
         print(f"cell alpha={a:g} beta={b:g}: {run.iterations} iterations, "
               f"objective {run.trace[-1]:.6f}, converged={run.converged} "
               f"(stop {run.stop_reason}, KKT residual {run.kkt_residual:.3g})", file=sys.stderr)
@@ -169,14 +159,13 @@ def cmd_train(args) -> int:
 
 def cmd_report_topk(args) -> int:
     loaded = ckpt.load_checkpoint(args.checkpoint)
-    rows = []
+    rows = [["gender", "sentiment", "rank", "neighbor", "score"]]
     for gender in GENDERS:
         for sentiment in loaded.params.sentiments:
             ranked = ev.topk(loaded.params, loaded.space, gender, sentiment, args.k)
             for rank, (word, value) in enumerate(ranked, start=1):
-                rows.append([gender.value, sentiment.value if sentiment else "none",
-                             rank, word, value])
-    _write_tsv(args.out, ["gender", "sentiment", "rank", "neighbor", "score"], rows)
+                rows.append([gender.value, ev.sentiment_label(sentiment), rank, word, value])
+    write_rows(args.out, rows)
     return 0
 
 
@@ -185,25 +174,23 @@ def cmd_report_pmi(args) -> int:
     table = _load_table(args.corpus, Relation(args.relation), lex)
     gtable = collapse_by_gender(table, lex)
     values = pmi_table(gtable)
-    rows = []
+    rows = [["gender", "neighbor", "pmi"]]
     for gender in GENDERS:
         pairs = ev.ranked((word, v) for (word, g), v in values.items() if g is gender)
         rows.extend([gender.value, word, v] for word, v in pairs)
-    _write_tsv(args.out, ["gender", "neighbor", "pmi"], rows)
+    write_rows(args.out, rows)
     return 0
 
 
 def cmd_report_senses(args) -> int:
     loaded = ckpt.load_checkpoint(args.checkpoint)
     inventory = load_sense_inventory(args.inventory, SenseKind(args.kind))
-    rows_out = []
-    rows = ev.sense_difference_suite(loaded.params, loaded.space, inventory, k=args.k,
-                                     permutations=args.permutations, seed=args.seed)
-    for row in rows:
-        rows_out.append([row.sentiment, row.sense, row.result.mean_a, row.result.mean_b,
-                         row.result.p_value, str(row.result.significant).lower()])
-    _write_tsv(args.out, ["sentiment", "sense", "freq_masc", "freq_fem", "p", "significant"],
-               rows_out)
+    suite = ev.sense_difference_suite(loaded.params, loaded.space, inventory, k=args.k,
+                                      permutations=args.permutations, seed=args.seed)
+    rows = [["sentiment", "sense", "freq_masc", "freq_fem", "p", "significant"]]
+    rows.extend([row.sentiment, row.sense, row.result.mean_a, row.result.mean_b,
+                 row.result.p_value, str(row.result.significant).lower()] for row in suite)
+    write_rows(args.out, rows)
     return 0
 
 
@@ -215,9 +202,10 @@ def cmd_report_sentiment(args) -> int:
     tests = [results[s] for s in SENTIMENTS]
     sig = [str(t.significant).lower() for t in tests]
     means = [[t.mean_a for t in tests], [t.mean_b for t in tests]]
-    rows = [[loaded.relation, g.value, *freqs, *sig] for g, freqs in zip(GENDERS, means)]
-    _write_tsv(args.out, ["relation", "gender", *(s.value for s in SENTIMENTS),
-                          *(f"sig_{s.value}" for s in SENTIMENTS)], rows)
+    header = ["relation", "gender", *(s.value for s in SENTIMENTS),
+              *(f"sig_{s.value}" for s in SENTIMENTS)]
+    write_rows(args.out, [header, *([loaded.relation, g.value, *freqs, *sig]
+                                    for g, freqs in zip(GENDERS, means))])
     return 0
 
 
@@ -240,13 +228,13 @@ def cmd_report_correlate(args) -> int:
     binary = _read_judgments(args.binary_judgments, str) if args.binary_judgments else None
     report = ev.correlate_judgments(loaded.params, loaded.space, judgments, binary,
                                     permutations=args.permutations, seed=args.seed)
-    _write_tsv(args.out, ["rho", "p", "agreement", "n"],
-               [[report.rho, report.p_value, report.agreement, report.n]])
+    write_rows(args.out, [["rho", "p", "agreement", "n"],
+                          [report.rho, report.p_value, report.agreement, report.n]])
     audit = Path(args.out).with_name(Path(args.out).stem + "_audit.tsv")
-    _write_tsv(audit, ["rho_posterior", "rho_raw_score", "p", "agreement", "n"],
-               [[report.rho,
-                 report.rho_raw_score if report.rho_raw_score is not None else "nan",
-                 report.p_value, report.agreement, report.n]])
+    write_rows(audit, [["rho_posterior", "rho_raw_score", "p", "agreement", "n"],
+                       [report.rho,
+                        report.rho_raw_score if report.rho_raw_score is not None else "nan",
+                        report.p_value, report.agreement, report.n]])
     return 0
 
 
@@ -266,12 +254,11 @@ def cmd_report_permtest(args) -> int:
     alpha = args.alpha / args.tests
     result = ev.permutation_test(_read_values(args.group_a), _read_values(args.group_b),
                                  permutations=args.permutations, seed=args.seed, alpha=alpha)
-    _write_tsv(args.out,
-               ["statistic", "p_value", "corrected_alpha", "significant",
-                "permutations_used", "exact"],
-               [[result.statistic, result.p_value, alpha,
-                 str(result.significant).lower(), result.permutations_used,
-                 str(result.exact).lower()]])
+    write_rows(args.out, [["statistic", "p_value", "corrected_alpha", "significant",
+                           "permutations_used", "exact"],
+                          [result.statistic, result.p_value, alpha,
+                           str(result.significant).lower(), result.permutations_used,
+                           str(result.exact).lower()]])
     return 0
 
 
@@ -280,10 +267,9 @@ def cmd_report_prop1(args) -> int:
     table = _load_table(args.corpus, Relation(args.relation), lex)
     gtable = collapse_by_gender(table, lex)
     report = prop1_check(gtable, args.max_iterations, args.saturation_tol)
-    rows = [[g.value, report.max_deviation[g], report.rank_correlation[g],
-             report.restricted.iterations]
-            for g in GENDERS]
-    _write_tsv(args.out, ["gender", "max_normalized_deviation", "spearman", "iterations"], rows)
+    write_rows(args.out, [["gender", "max_normalized_deviation", "spearman", "iterations"],
+                          *([g.value, report.max_deviation[g], report.rank_correlation[g],
+                             report.restricted.iterations] for g in GENDERS)])
     return 0
 
 
@@ -336,6 +322,8 @@ def _expand_config(argv: list[str]) -> list[str]:
             raise DataError(f"{config_path}:{lineno}: expected key=value")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.replace("_", "-")
+        if key == "config":  # would reach argparse as the help-only --config and be dropped
+            raise DataError(f"{config_path}:{lineno}: a config file cannot name another")
         if key.replace("-", "_") in _BOOL_KEYS:
             if value.lower() not in ("true", "1", "yes", "false", "0", "no"):
                 raise DataError(f"{config_path}:{lineno}: bad boolean {value!r}")

@@ -68,11 +68,12 @@ class GenderLexicon:
 def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """(line number, line without its break) of each line of a UTF-8 text file.
 
-    Blank and whitespace-only lines, and ``#`` comments at column 0, are
-    skipped.  Bytes that are not UTF-8 are a DataError naming the file but no
-    line: decoding runs ahead of the lines, so a line number would be a guess.
+    A leading byte-order mark is dropped.  Blank and whitespace-only lines,
+    and ``#`` comments at column 0, are skipped.  Bytes that are not UTF-8 are
+    a DataError naming the file but no line: decoding runs ahead of the lines,
+    so a line number would be a guess.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
                 if line[0] != "#" and not line.isspace():  # a line read from a file is never ""
@@ -89,6 +90,15 @@ def read_rows(path: str | Path, columns: int) -> Iterator[tuple[int, list[str]]]
             raise DataError(f"{path}:{lineno}: expected {columns} tab-separated columns, "
                             f"got {len(fields)}")
         yield lineno, fields
+
+
+def write_rows(path: str | Path, rows: Iterable[Iterable]) -> None:
+    """Write each row as one tab-separated line: a float cell as its shortest
+    round-trip repr, any other cell as str."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in rows:
+            fh.write("\t".join(repr(float(v)) if isinstance(v, float) else str(v)
+                               for v in row) + "\n")
 
 
 def bundled_lexicon_path() -> Path:

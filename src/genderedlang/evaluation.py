@@ -18,12 +18,17 @@ import numpy as np
 from .corpus import GENDERS, Gender
 from .errors import DataError, NumericalError
 from .lexicons import SENTIMENTS, SenseInventory, Sentiment, SentimentPrior
-from .model import FeatureSpace, ModelParams, _forward
+from .model import FeatureSpace, ModelParams, joint_marginal
 
 
 def ranked(pairs) -> tuple[tuple[str, float], ...]:
     """(word, score) pairs, score-descending; ties broken lexicographically."""
     return tuple(sorted(pairs, key=lambda pair: (-pair[1], pair[0])))
+
+
+def sentiment_label(sentiment: Sentiment | None) -> str:
+    """A sentiment axis's name in reports, where the collapsed model's one axis is `none`."""
+    return "none" if sentiment is None else sentiment.value
 
 
 def topk(params: ModelParams, space: FeatureSpace, gender: Gender,
@@ -176,7 +181,7 @@ def sense_difference_suite(params: ModelParams, space: FeatureSpace,
     appended with label "all".  A family's tests share one permutation
     stream drawn from `seed`; Bonferroni is unchanged.
     """
-    families = [(s.value if s else "none", (s,)) for s in params.sentiments]
+    families = [(sentiment_label(s), (s,)) for s in params.sentiments]
     if len(params.sentiments) > 1:
         families.append(("all", params.sentiments))
     senses = inventory.kind.senses
@@ -250,12 +255,12 @@ def spearman(x, y) -> float:
 
 def gender_posterior(params: ModelParams, space: FeatureSpace) -> np.ndarray:
     """p(FEM | v) for every vocabulary word, by summing the joint over forms."""
-    fw = _forward(params, space.feature_matrix(params.forms))
-    fem_cols = fw.F[:, space.fem_index] == 1.0
-    fem_mass = fw.M[:, :, fem_cols].sum(axis=(1, 2))
-    if not np.all((fw.rho > 0) & (fw.rho < np.inf)):  # else fem_mass / rho is not finite
+    joint = joint_marginal(params, space)
+    fem_cols = [space.entries[form].gender is Gender.FEM for form in params.forms]
+    total = joint.sum(axis=1)
+    if not np.all((total > 0) & (total < np.inf)):  # else the ratio is not finite
         raise NumericalError("gender posterior is not finite: a word's joint mass is 0 or inf")
-    return fem_mass / fw.rho
+    return joint[:, fem_cols].sum(axis=1) / total
 
 
 _GENDER_LABELS = {"f": "f", "fem": "f", "female": "f", "m": "m", "masc": "m", "male": "m"}

@@ -76,9 +76,6 @@ class SentimentPrior:
 
     probs: dict[str, tuple[float, float, float]]
 
-    def __len__(self) -> int:
-        return len(self.probs)
-
     def get(self, word: str) -> tuple[float, float, float] | None:
         """Case-folded lookup; None means the word carries no regularization term."""
         return self.probs.get(word.lower())

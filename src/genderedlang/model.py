@@ -12,6 +12,7 @@ p(sentiment | neighbor) toward an external sentiment prior.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
@@ -115,10 +116,10 @@ class TrainConfig:
     n_sentiments: int = 3
 
     def __post_init__(self) -> None:
-        if not (self.alpha >= 0 and self.beta >= 0):  # NaN fails too
-            raise ValueError("alpha and beta must be non-negative")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
+        if not (0 <= self.alpha < math.inf and 0 <= self.beta < math.inf):  # NaN fails too
+            raise ValueError("alpha and beta must be non-negative and finite")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be positive and finite")
         if self.n_sentiments not in (1, 3):
             raise ValueError("n_sentiments must be 1 or 3")
         if self.n_sentiments == 1 and self.beta != 0:

@@ -15,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Gender, GenderLexicon, Pair, Relation, aggregate_counts, write_canonical
+from .corpus import (Gender, GenderLexicon, Pair, Relation, aggregate_counts, write_canonical,
+                     write_rows)
 from .lexicons import SENTIMENTS, SenseKind
 from .model import FeatureSpace, ModelParams, joint_marginal
 
@@ -154,19 +155,11 @@ def write_synth(out_dir: str | Path, data: SynthData, lex: GenderLexicon) -> dic
         "manifest": out / "manifest.json",
     }
     write_canonical(paths["corpus"], aggregate_counts(data.pairs, data.config.relation, lex))
-    with open(paths["sentiment"], "w", encoding="utf-8") as fh:
-        for word, a_pos, a_neg, a_neu in data.sentiment_rows:
-            fh.write(f"{word}\t{a_pos!r}\t{a_neg!r}\t{a_neu!r}\n")
-    with open(paths["senses"], "w", encoding="utf-8") as fh:
-        for word, dist in data.sense_rows:
-            items = ",".join(f"{name}:{weight!r}" for name, weight in dist.items())
-            fh.write(f"{word}\t{items}\n")
-    with open(paths["judgments"], "w", encoding="utf-8") as fh:
-        for word in sorted(data.judgments):
-            fh.write(f"{word}\t{data.judgments[word]!r}\n")
-    with open(paths["binary_judgments"], "w", encoding="utf-8") as fh:
-        for word in sorted(data.binary_judgments):
-            fh.write(f"{word}\t{data.binary_judgments[word]}\n")
+    write_rows(paths["sentiment"], data.sentiment_rows)
+    write_rows(paths["senses"], [(word, ",".join(f"{name}:{w!r}" for name, w in dist.items()))
+                                 for word, dist in data.sense_rows])
+    write_rows(paths["judgments"], sorted(data.judgments.items()))
+    write_rows(paths["binary_judgments"], sorted(data.binary_judgments.items()))
     paths["manifest"].write_text(json.dumps(data.manifest, sort_keys=True, indent=2) + "\n",
                                  encoding="utf-8")
     return paths

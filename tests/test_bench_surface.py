@@ -160,6 +160,19 @@ def test_every_public_name_has_a_caller():
     assert not uncalled, f"methods never called outside the tests: {', '.join(uncalled)}"
 
 
+def test_public_classes_define_no_dunders():
+    """A dunder is called by syntax (len(x), x in y), which the name search
+    above cannot follow, so a public class defines none but __post_init__: a
+    protocol method kept alive by the tests alone would go unseen."""
+    dunders = [f"{path.name}:{cls.name}.{stmt.name}" for path in PACKAGE
+               for cls in ast.parse(path.read_text(encoding="utf-8")).body
+               if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+               for stmt in cls.body
+               if _defines(stmt) and stmt.name.startswith("__") and stmt.name.endswith("__")
+               and stmt.name != "__post_init__"]
+    assert not dunders, f"dunders on public classes: {', '.join(dunders)}"
+
+
 @pytest.mark.parametrize("name", ["iter_arcs", "iter_canonical"])
 def test_corpus_reader_is_a_generator(name):
     """perfbench's tracer charges a generator only for the time inside its own

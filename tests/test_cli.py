@@ -163,12 +163,12 @@ COMMANDS = {
     "correlate": ["report", "correlate", "--checkpoint", "{tmp}/missing.json",
                   "--judgments", "{tmp}/missing.tsv"],
 }
-REALS, INTS = ["0", "-1", "nan"], ["0", "-1"]
+REALS, INTS = ["0", "-1", "nan", "inf"], ["0", "-1"]
 BAD_FLAGS = [(command, flag, value) for command, flag, values in [
     ("train", "--tolerance", REALS),
     ("train", "--max-iterations", INTS), ("train", "--jobs", INTS),
-    ("train", "--alpha-grid", ["nan", "0,0,0.001", "1e-7,1.0000001e-7"]),
-    ("train", "--beta-grid", ["nan", "0.1,0.1000000001"]),
+    ("train", "--alpha-grid", ["nan", "inf", "0,1e400", "0,0,0.001", "1e-7,1.0000001e-7"]),
+    ("train", "--beta-grid", ["nan", "inf", "0.1,0.1000000001"]),
     ("prop1", "--max-iterations", INTS),
     ("prop1", "--saturation-tol", REALS),
     ("synth", "--n-pairs", ["0", "-5"]), ("synth", "--planted-body-fem", ["nan", "-0.1", "0.95"]),
@@ -374,6 +374,19 @@ class TestTrain:
                      "--out", str(out)]) == 1
         assert not out.exists()
 
+    def test_config_naming_a_config_is_a_data_error(self, tmp_path, capsys):
+        # argparse would take a spliced-in --config PATH as the help-only option
+        (tmp_path / "a.txt").write_text("1\n2\n3\n")
+        (tmp_path / "b.txt").write_text("4\n5\n6\n")
+        config = tmp_path / "run.conf"
+        config.write_text(f"config = {tmp_path}/nonexistent.cfg\n")
+        out = tmp_path / "perm.tsv"
+        assert main(["report", "permtest", "--config", str(config),
+                     "--group-a", str(tmp_path / "a.txt"), "--group-b", str(tmp_path / "b.txt"),
+                     "--out", str(out)]) == 2
+        assert f"{config}:1:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_value_keeps_its_hash(self, tmp_path):
         # Only a line that starts with # is a comment; a # inside a value is part of it.
         (tmp_path / "a.txt").write_text("1\n2\n3\n")
@@ -429,6 +442,19 @@ class TestReports:
         assert header == ["sentiment", "sense", "freq_masc", "freq_fem", "p", "significant"]
         assert len(rows) == 4 * 13  # pos/neg/neu/all x adjective senses
         assert all(0 < float(r["p"]) <= 1 for r in rows)
+
+    def test_senses_collapsed_model_uses_topk_label(self, trained_collapsed, tmp_path):
+        senses, topk = tmp_path / "senses1.tsv", tmp_path / "topk1.tsv"
+        checkpoint = str(trained_collapsed / "checkpoint_averaged.json")
+        assert main(["report", "senses", "--checkpoint", checkpoint,
+                     "--inventory", str(DATA / "toy_senses_adj.tsv"),
+                     "--k", "10", "--permutations", "300", "--out", str(senses)]) == 0
+        assert main(["report", "topk", "--checkpoint", checkpoint, "--k", "4",
+                     "--out", str(topk)]) == 0
+        _, rows = read_tsv(senses)
+        assert len(rows) == 13  # one family: the collapsed axis, no pooled "all"
+        assert ({r["sentiment"] for r in rows} == {r["sentiment"] for r in read_tsv(topk)[1]}
+                == {"none"})
 
     def test_sentiment_schema(self, trained_collapsed, tmp_path):
         out = tmp_path / "sentiment.tsv"

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from genderedlang.corpus import (GENDERS, Gender, IngestStats, Number, Pair, Relation,
                                  aggregate_by_relation, aggregate_counts, gender_marginals,
                                  gender_onehot, iter_arcs, iter_canonical, load_gender_lexicon,
-                                 parse_arcs_line, read_lines, write_canonical)
+                                 parse_arcs_line, read_lines, write_canonical, write_rows)
 from genderedlang.errors import DataError, MalformedLineError
 from genderedlang.pmi import collapse_by_gender
 
@@ -234,6 +234,14 @@ class TestCanonicalReader:
         assert list(iter_canonical(path, lexicon, stats)) == [Pair("woman", "tall", Relation.AMOD, 3)]
         assert stats == IngestStats(lines=5, malformed=3, unknown_forms=1)
 
+    def test_leading_byte_order_mark_is_dropped(self, lexicon, tmp_path):
+        path = tmp_path / "c.tsv"
+        path.write_bytes("amod\twoman\ttall\t3\namod\tman\tbrave\t2\n".encode("utf-8-sig"))
+        stats = IngestStats()
+        assert list(iter_canonical(path, lexicon, stats)) == [
+            Pair("woman", "tall", Relation.AMOD, 3), Pair("man", "brave", Relation.AMOD, 2)]
+        assert stats == IngestStats(lines=2, malformed=0, unknown_forms=0)
+
     @given(st.lists(_CANONICAL_LINE, max_size=25))
     @settings(max_examples=150, deadline=None)
     def test_matches_reference_reader(self, lexicon, tmp_path_factory, lines):
@@ -403,3 +411,12 @@ class TestGenderMarginals:
         assert all(type(count) is int for count in marg.values())
         columns = collapse_by_gender(table, lexicon).count_matrix().sum(axis=0)
         assert [marg[Gender.MASC], marg[Gender.FEM]] == columns.tolist()
+
+
+class TestWriteRows:
+    def test_cells(self, tmp_path):
+        path = tmp_path / "rows.tsv"
+        write_rows(path, [["word", "score", "n", "ok"], ("a", 0.1, 3, "true"),
+                          ["b", np.float64(1 / 3), np.int64(2), 1e-300]])
+        assert path.read_bytes() == (b"word\tscore\tn\tok\na\t0.1\t3\ttrue\n"
+                                     b"b\t0.3333333333333333\t2\t1e-300\n")

@@ -22,10 +22,15 @@ class TestSentimentLexicon:
         path = tmp_path / "s.tsv"
         path.write_text("a\t2\t1\t1\nb\t1\t3\t1\nc\t0.5\t0.5\t9\n")
         prior = load_sentiment_lexicon(path)
-        assert len(prior) == 3
+        assert len(prior.probs) == 3
         for word in ("a", "b", "c"):
             assert abs(sum(prior.get(word)) - 1.0) < 1e-9
             assert min(prior.get(word)) >= 0
+
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "s.tsv"
+        path.write_bytes("stone\t1\t1\t2\n".encode("utf-8-sig"))
+        assert load_sentiment_lexicon(path).probs == {"stone": (0.25, 0.25, 0.5)}
 
     def test_non_positive_concentration_names_word(self, tmp_path):
         path = tmp_path / "s.tsv"

@@ -349,8 +349,9 @@ class TestGradient:
 
 @pytest.mark.parametrize("field", ["alpha", "beta", "tolerance"])
 def test_train_config_rejects_nan(field):
-    with pytest.raises(ValueError):
-        TrainConfig(**{field: float("nan")})
+    for value in (math.nan, math.inf):  # inf too: it passes the sign checks
+        with pytest.raises(ValueError):
+            TrainConfig(**{field: value})
 
 
 class TestTrain:

@@ -72,7 +72,7 @@ class TestWriteSynth:
                                  Relation.AMOD, lexicon)
         assert table.total > 0
         prior = load_sentiment_lexicon(paths["sentiment"])
-        assert len(prior) == 60
+        assert len(prior.probs) == 60
         inv = load_sense_inventory(paths["senses"], SenseKind.ADJ)
         assert len(inv.weights) == 60
         manifest = json.loads(paths["manifest"].read_text())
