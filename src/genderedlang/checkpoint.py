@@ -36,10 +36,9 @@ class Checkpoint:
 
 
 def _eta_triplets(eta: np.ndarray) -> list[list]:
-    rows = []
-    for v, s, t in zip(*np.nonzero(eta)):
-        rows.append([int(v), int(s), int(t), float(eta[v, s, t])])
-    return rows
+    """[v, s, t, value] for every nonzero entry of eta, in C order."""
+    nonzero = np.nonzero(eta)
+    return [list(row) for row in zip(*(axis.tolist() for axis in nonzero), eta[nonzero].tolist())]
 
 
 def _space_payload(space: FeatureSpace) -> dict:

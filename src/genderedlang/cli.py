@@ -304,16 +304,19 @@ def _expand_config(argv: list[str]) -> list[str]:
     out, config_path = [], None
     i = 0
     while i < len(argv):
+        if argv[i] != "--config" and not argv[i].startswith("--config="):
+            out.append(argv[i])
+            i += 1
+            continue
+        if config_path is not None:  # keeping only one would drop the other's keys silently
+            raise UsageError("--config may be given only once")
         if argv[i] == "--config":
             if i + 1 >= len(argv):
                 raise UsageError("--config requires a path")
             config_path = argv[i + 1]
             i += 2
-        elif argv[i].startswith("--config="):
-            config_path = argv[i].split("=", 1)[1]
-            i += 1
         else:
-            out.append(argv[i])
+            config_path = argv[i].split("=", 1)[1]
             i += 1
     given = {a.split("=", 1)[0] for a in out if a.startswith("--")}
     tokens = []

@@ -13,6 +13,7 @@ p(sentiment | neighbor) toward an external sentiment prior.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
@@ -120,6 +121,12 @@ class TrainConfig:
             raise ValueError("alpha and beta must be non-negative and finite")
         if not 0 < self.tolerance < math.inf:
             raise ValueError("tolerance must be positive and finite")
+        for name in ("max_iterations", "n_sentiments"):  # bool is an int but no count
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be positive")
         if self.n_sentiments not in (1, 3):
             raise ValueError("n_sentiments must be 1 or 3")
         if self.n_sentiments == 1 and self.beta != 0:
@@ -127,39 +134,121 @@ class TrainConfig:
 
 
 # ---------------------------------------------------------------------------
-# Softmax primitives
+# The evaluation kernel
 
 
 def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
-    z = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
+    """Softmax of x along axis, computed in x itself."""
+    x -= x.max(axis=axis, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=axis, keepdims=True)
+    return x
 
 
-@dataclass
-class _Forward:
-    """All distributions of one forward pass, in (V, S, G) layout."""
-
-    F: np.ndarray     # (G, T) one-hot features of params.forms
-    A: np.ndarray     # p(v | s, n), softmax over axis 0
-    B: np.ndarray     # p(s | n), shape (S, G)
-    c: np.ndarray     # p(n), shape (G,)
-    M: np.ndarray     # joint p(v, s, n)
-    J: np.ndarray     # p(v, n) = sum_s M
-    N: np.ndarray     # p(v, s) = sum_n M
-    rho: np.ndarray   # p(v) = sum_{s,n} M
+def _kl_rows(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Row-wise KL(q || p) with the 0 log 0 = 0 convention."""
+    ratio = np.zeros_like(q)
+    pos = q > 0
+    ratio[pos] = q[pos] * (np.log(q[pos]) - np.log(p[pos]))
+    return ratio.sum(axis=-1)
 
 
-def _forward(params: ModelParams, F: np.ndarray) -> _Forward:
-    U = params.m[:, None, None] + params.eta @ F.T
-    A = _softmax(U, axis=0)
-    B = _softmax(params.omega, axis=-1).T
-    c = _softmax(params.xi, axis=-1)
-    M = A * B[None, :, :] * c[None, None, :]
-    J = M.sum(axis=1)
-    N = M.sum(axis=2)
-    rho = N.sum(axis=1)
-    return _Forward(F=F, A=A, B=B, c=c, M=M, J=J, N=N, rho=rho)
+class _Kernel:
+    """The model's one evaluation path: its distributions, objective and gradient.
+
+    A kernel is built for one parameter layout and feature space and, for the
+    objective and gradient, one (p_hat, regularizer, alpha, beta).  It owns
+    its (V, S, G) work arrays, so repeated evaluations (a training run)
+    allocate none; a kernel serves one thread.  forward() fills
+    A = p(v | s, n), B = p(s | n) of shape (S, G), c = p(n), the joint
+    M = p(v, s, n) and its marginals J = p(v, n), N = p(v, s) and rho = p(v).
+    Each product and sum keeps its operands and order, because training
+    outputs are reproducible bit for bit (ROADMAP.md lists the rules).
+    """
+
+    def __init__(self, params: ModelParams, space: FeatureSpace, p_hat: np.ndarray | None = None,
+                 reg: tuple[np.ndarray, np.ndarray] | None = None, alpha: float = 0.0,
+                 beta: float = 0.0):
+        n_vocab, n_sent, _ = params.eta.shape
+        shape = (n_vocab, n_sent, len(params.forms))
+        self.eta_shape, self.omega_shape = params.eta.shape, params.omega.shape
+        self.m = params.m[:, None, None]
+        self.F = space.feature_matrix(params.forms)
+        self.p_hat, self.reg, self.alpha, self.beta = p_hat, reg, alpha, beta
+        self.A, self.M = np.empty(shape), np.empty(shape)
+        self.J, self.N, self.rho = np.empty(shape[::2]), np.empty(shape[:2]), np.empty(n_vocab)
+        self._work = np.empty(shape[::2])                  # log J, then p_hat / J
+        if reg is not None:
+            self._q, self._mask = reg
+            self._covered, self._beta_mask = self._q[self._mask], beta * self._mask[:, None]
+            self._C = np.empty(shape)
+
+    def unpack(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Views of a flat x = (eta, omega, xi) in the kernel's layout."""
+        n_eta = math.prod(self.eta_shape)
+        n_head = n_eta + math.prod(self.omega_shape)
+        return (x[:n_eta].reshape(self.eta_shape), x[n_eta:n_head].reshape(self.omega_shape),
+                x[n_head:])
+
+    def forward(self, eta: np.ndarray, omega: np.ndarray, xi: np.ndarray) -> None:
+        """Fill the model's distributions at (eta, omega, xi)."""
+        np.matmul(eta, self.F.T, out=self.A)
+        self.A += self.m
+        _softmax(self.A, axis=0)
+        self.B = _softmax(np.array(omega), axis=-1).T
+        self.c = _softmax(np.array(xi), axis=-1)
+        np.multiply(self.A, self.B, out=self.M)
+        self.M *= self.c
+        self.M.sum(axis=1, out=self.J)
+        self.M.sum(axis=2, out=self.N)
+        self.N.sum(axis=1, out=self.rho)
+
+    def objective(self, eta: np.ndarray, work: np.ndarray | None = None) -> float:
+        """The objective after forward(); work, if given, is eta-shaped scratch."""
+        log_j = np.log(np.maximum(self.J, 1e-300, out=self._work), out=self._work)
+        value = float(np.multiply(log_j, self.p_hat, out=log_j).sum())
+        if self.alpha:
+            value -= self.alpha * float(np.abs(eta, out=work).sum())
+        if self.reg is not None:
+            posterior = self.N / self.rho[:, None]
+            value -= self.beta * float(_kl_rows(self._covered, posterior[self._mask]).sum())
+        return value
+
+    def negated_gradient(self, out: np.ndarray) -> None:
+        """Write the objective's negated gradient at the last forward() into the flat out.
+
+        dO/dM for the likelihood and (when active) the regularizer is C;
+        everything else is the softmax chain rule applied once to the
+        shared joint M.  A serves as work space, so forward() must run again
+        before the next call.
+        """
+        C = np.divide(self.p_hat, self.J, out=self._work)[:, None, :]
+        if self.reg is not None:
+            dkl = self._beta_mask * (self._q / np.maximum(self.N, 1e-300)
+                                     - 1.0 / self.rho[:, None])
+            C = np.add(C, dkl[:, :, None], out=self._C)
+        CA = self.A
+        CA *= C
+        E = CA.sum(axis=0)                                # (S, G)
+        CA *= self.B
+        K = CA.sum(axis=(0, 1))                           # (G,)
+        Gu = np.subtract(C, E, out=self.A)
+        Gu *= self.M
+        g_eta, g_omega, g_xi = self.unpack(out)
+        np.matmul(Gu, self.F, out=g_eta)
+        g_eta -= self.alpha
+        np.negative(g_eta, out=g_eta)
+        BE = (self.B * E).sum(axis=0)                     # (G,)
+        np.negative((self.c[None, :] * self.B * (E - BE[None, :])).T, out=g_omega)
+        np.negative(self.c * (K - float((self.c * K).sum())), out=g_xi)
+
+    def negated(self, x: np.ndarray, out: np.ndarray) -> float:
+        """The objective's negation at the flat x; its gradient goes to out."""
+        eta, omega, xi = self.unpack(x)
+        self.forward(eta, omega, xi)
+        value = self.objective(eta, work=self.unpack(out)[0])  # out is free until the gradient
+        self.negated_gradient(out)
+        return -value
 
 
 def _regularizer(prior: SentimentPrior | None, vocab: Sequence[str], beta: float
@@ -205,49 +294,21 @@ def init_params(table: CountTable, space: FeatureSpace, n_sentiments: int = 3) -
 
 def joint_marginal(params: ModelParams, space: FeatureSpace) -> np.ndarray:
     """Sentiment-marginalized joint p(v, n), shape (|V|, |G|); sums to 1."""
-    return _forward(params, space.feature_matrix(params.forms)).J
+    kernel = _Kernel(params, space)
+    kernel.forward(params.eta, params.omega, params.xi)
+    return kernel.J
 
 
 # ---------------------------------------------------------------------------
 # Objective and gradient
 
 
-def _kl_rows(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Row-wise KL(q || p) with the 0 log 0 = 0 convention."""
-    ratio = np.zeros_like(q)
-    pos = q > 0
-    ratio[pos] = q[pos] * (np.log(q[pos]) - np.log(p[pos]))
-    return ratio.sum(axis=-1)
-
-
-def _objective_from(fw: _Forward, p_hat: np.ndarray, eta: np.ndarray,
-                    reg: tuple[np.ndarray, np.ndarray] | None, alpha: float, beta: float) -> float:
-    ll = float(np.sum(p_hat * np.log(np.maximum(fw.J, 1e-300))))
-    value = ll - alpha * float(np.abs(eta).sum())
-    if reg is not None:
-        q, mask = reg
-        posterior = fw.N / fw.rho[:, None]
-        value -= beta * float(_kl_rows(q[mask], posterior[mask]).sum())
-    return value
-
-
-def _gradient_from(fw: _Forward, p_hat: np.ndarray, reg: tuple[np.ndarray, np.ndarray] | None,
-                   alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # dO/dM for the likelihood and (when active) the regularizer; everything
-    # else is the softmax chain rule applied once to the shared joint M.
-    C = (p_hat / fw.J)[:, None, :]
-    if reg is not None:
-        q, mask = reg
-        dkl = beta * mask[:, None] * (q / np.maximum(fw.N, 1e-300) - 1.0 / fw.rho[:, None])
-        C = C + dkl[:, :, None]
-    E = (C * fw.A).sum(axis=0)                      # (S, G)
-    Gu = fw.M * (C - E[None, :, :])
-    g_eta = Gu @ fw.F - alpha
-    BE = (fw.B * E).sum(axis=0)                     # (G,)
-    g_omega = (fw.c[None, :] * fw.B * (E - BE[None, :])).T
-    K = (C * fw.A * fw.B[None, :, :]).sum(axis=(0, 1))
-    g_xi = fw.c * (K - float((fw.c * K).sum()))
-    return g_eta, g_omega, g_xi
+def _kernel_at(params: ModelParams, space: FeatureSpace, table: CountTable,
+               prior: SentimentPrior | None, config: TrainConfig) -> _Kernel:
+    reg = _regularizer(prior, params.vocab, config.beta)
+    kernel = _Kernel(params, space, table.p_hat(), reg, config.alpha, config.beta)
+    kernel.forward(params.eta, params.omega, params.xi)
+    return kernel
 
 
 def objective(params: ModelParams, space: FeatureSpace, table: CountTable,
@@ -258,9 +319,7 @@ def objective(params: ModelParams, space: FeatureSpace, table: CountTable,
     its constant entropy part is included via the exact KL, which is zero
     iff the posterior matches the prior.
     """
-    reg = _regularizer(prior, params.vocab, config.beta)
-    fw = _forward(params, space.feature_matrix(params.forms))
-    return _objective_from(fw, table.p_hat(), params.eta, reg, config.alpha, config.beta)
+    return _kernel_at(params, space, table, prior, config).objective(params.eta)
 
 
 def gradient(params: ModelParams, space: FeatureSpace, table: CountTable,
@@ -272,9 +331,10 @@ def gradient(params: ModelParams, space: FeatureSpace, table: CountTable,
     non-negative feasible set this is the correct subgradient at eta = 0 as
     well as the exact derivative in the interior.
     """
-    reg = _regularizer(prior, params.vocab, config.beta)
-    fw = _forward(params, space.feature_matrix(params.forms))
-    return _gradient_from(fw, table.p_hat(), reg, config.alpha, config.beta)
+    kernel = _kernel_at(params, space, table, prior, config)
+    out = np.empty(params.eta.size + params.omega.size + params.xi.size)
+    kernel.negated_gradient(out)
+    return kernel.unpack(np.negative(out, out=out))
 
 
 # ---------------------------------------------------------------------------
@@ -300,64 +360,83 @@ BACKTRACK = 0.5
 MAX_HALVINGS = 40
 
 
-def _two_loop(g: np.ndarray, pairs: list[tuple[np.ndarray, np.ndarray, float]]) -> np.ndarray:
-    """H g for the L-BFGS inverse-Hessian estimate H of the stored (s, y, 1/s.y) pairs."""
-    q, coefs = g.copy(), []
-    for s, y, rho in reversed(pairs):
+def _two_loop(q: np.ndarray, pairs: list[tuple[np.ndarray, np.ndarray, float, float]],
+              work: np.ndarray) -> None:
+    """Overwrite q with H q for the L-BFGS inverse-Hessian estimate H of the stored pairs.
+
+    Each pair is (s, y, 1/s.y, s.y/y.y); work is scratch of q's size.
+    """
+    coefs = []
+    for s, y, rho, _ in reversed(pairs):
         coefs.append(rho * float(s @ q))
-        q -= coefs[-1] * y
+        q -= np.multiply(y, coefs[-1], out=work)
     if pairs:
-        s, y, _ = pairs[-1]
-        q *= float(s @ y) / float(y @ y)
-    for (s, y, rho), a in zip(pairs, reversed(coefs)):
-        q += (a - rho * float(y @ q)) * s
-    return q
+        q *= pairs[-1][3]
+    for (s, y, rho, _), a in zip(pairs, reversed(coefs)):
+        q += np.multiply(s, a - rho * float(y @ q), out=work)
 
 
 def _lbfgs(fun, x: np.ndarray, n_bounded: int, tol: float, max_iterations: int
            ) -> tuple[np.ndarray, list[float], str, float]:
     """Minimize fun over {x : x[:n_bounded] >= 0} by projected L-BFGS.
 
-    fun(x) returns (value, gradient).  Each step takes the L-BFGS direction
-    of the projected gradient, holds the coordinates at zero that the
-    gradient or the direction points below zero, and backtracks along the
-    projected path max(x + t d, 0) until the Armijo condition holds.  The
-    run stops when the projected gradient's inf-norm (the KKT residual) is
-    at most tol ("tolerance"), after max_iterations steps
-    ("max_iterations"), or when MAX_HALVINGS halvings find no sufficient
-    decrease ("line_search").  Returns the last iterate, fun's value at
-    every iterate, the stop reason and the residual.  A non-finite value
-    raises NumericalError.
+    fun(x, out) returns the value at x and writes the gradient into out.
+    Each step takes the L-BFGS direction of the projected gradient, holds
+    the coordinates at zero that the gradient or the direction points below
+    zero, and backtracks along the projected path max(x + t d, 0) until the
+    Armijo condition holds.  The run stops when the projected gradient's
+    inf-norm (the KKT residual) is at most tol ("tolerance"), after
+    max_iterations steps ("max_iterations"), or when MAX_HALVINGS halvings
+    find no sufficient decrease ("line_search").  Returns the last iterate,
+    fun's value at every iterate, the stop reason and the residual.  A
+    non-finite value raises NumericalError.
+
+    The loop allocates no vector per step: the start x and one more buffer
+    take turns as the iterate, two buffers as its gradient, and the step
+    being tried (s, y) swaps places with the slot of the pair it displaces.
     """
-    lower = np.where(np.arange(x.size) < n_bounded, 0.0, -np.inf)
-    f, g = fun(x)
+    n = x.size
+    x_new, g, g_new, pg, d, s, y = (np.empty(n) for _ in range(7))
+    slots = [(np.empty(n), np.empty(n)) for _ in range(MEMORY)]   # free (s, y) slots
+    pinned, rising, hold = (np.empty(n_bounded, dtype=bool) for _ in range(3))
+    f = fun(x, g)
     values, pairs = [f], []
     while np.isfinite(f):
-        pinned = x <= lower
-        pg = np.where(pinned & (g > 0), 0.0, g)
-        residual = float(np.abs(pg).max())
+        np.less_equal(x[:n_bounded], 0.0, out=pinned)
+        np.greater(g[:n_bounded], 0.0, out=rising)
+        np.copyto(pg, g)
+        np.copyto(pg[:n_bounded], 0.0, where=np.logical_and(pinned, rising, out=hold))
+        residual = float(np.abs(pg, out=s).max())
         if residual <= tol:
             return x, values, "tolerance", residual
         if len(values) > max_iterations:
             return x, values, "max_iterations", residual
-        d = -_two_loop(pg, pairs)
-        d[pinned & ((g > 0) | (d < 0))] = 0.0
+        np.copyto(d, pg)
+        _two_loop(d, pairs, s)
+        np.negative(d, out=d)
+        np.logical_or(rising, np.less(d[:n_bounded], 0.0, out=hold), out=hold)
+        np.copyto(d[:n_bounded], 0.0, where=np.logical_and(pinned, hold, out=hold))
         if float(d @ pg) >= 0:  # not a descent direction: restart from steepest descent
-            pairs, d = [], -pg
+            slots += [pair[:2] for pair in pairs]
+            pairs = []
+            np.negative(pg, out=d)
         t = 1.0
         for _ in range(MAX_HALVINGS):
-            x_new = np.maximum(x + t * d, lower)
-            s = x_new - x
-            f_new, g_new = fun(x_new)
+            np.add(np.multiply(d, t, out=x_new), x, out=x_new)
+            np.maximum(x_new[:n_bounded], 0.0, out=x_new[:n_bounded])
+            np.subtract(x_new, x, out=s)
+            f_new = fun(x_new, g_new)
             if f_new <= f + ARMIJO * float(g @ s) or not np.isfinite(f_new):
                 break
             t *= BACKTRACK
         else:
             return x, values, "line_search", residual
-        y = g_new - g
-        if float(s @ y) > 0:
-            pairs = [*pairs, (s, y, 1.0 / float(s @ y))][-MEMORY:]
-        x, f, g = x_new, f_new, g_new
+        np.subtract(g_new, g, out=y)
+        sy = float(s @ y)
+        if sy > 0:
+            pairs.append((s, y, 1.0 / sy, sy / float(y @ y)))
+            s, y = slots.pop() if slots else pairs.pop(0)[:2]
+        x, x_new, g, g_new, f = x_new, x, g_new, g, f_new
         values.append(f)
     raise NumericalError(f"objective not finite at iterate {len(values) - 1}")
 
@@ -373,27 +452,12 @@ def train(table: CountTable, space: FeatureSpace, prior: SentimentPrior | None,
     """
     reg = _regularizer(prior, table.vocab, config.beta)
     params = init_params(table, space, config.n_sentiments)
-    p_hat = table.p_hat()
-    F = space.feature_matrix(params.forms)
-    n_eta, n_omega = params.eta.size, params.omega.size
-
-    def unpack(x: np.ndarray) -> ModelParams:
-        return ModelParams(params.vocab, params.forms, params.m,
-                           x[:n_eta].reshape(params.eta.shape),
-                           x[n_eta:n_eta + n_omega].reshape(params.omega.shape),
-                           x[n_eta + n_omega:])
-
-    def negated(x: np.ndarray) -> tuple[float, np.ndarray]:
-        candidate = unpack(x)
-        fw = _forward(candidate, F)
-        value = _objective_from(fw, p_hat, candidate.eta, reg, config.alpha, config.beta)
-        grads = _gradient_from(fw, p_hat, reg, config.alpha, config.beta)
-        return -value, -np.concatenate([g.ravel() for g in grads])
-
+    kernel = _Kernel(params, space, table.p_hat(), reg, config.alpha, config.beta)
     x0 = np.concatenate([params.eta.ravel(), params.omega.ravel(), params.xi.ravel()])
-    x, values, reason, residual = _lbfgs(negated, x0, n_eta, config.tolerance,
+    x, values, reason, residual = _lbfgs(kernel.negated, x0, params.eta.size, config.tolerance,
                                          config.max_iterations)
-    return TrainResult(params=unpack(x), trace=[-v for v in values], iterations=len(values) - 1,
+    return TrainResult(params=ModelParams(params.vocab, params.forms, params.m, *kernel.unpack(x)),
+                       trace=[-v for v in values], iterations=len(values) - 1,
                        converged=reason == "tolerance", config=config, stop_reason=reason,
                        kkt_residual=residual)
 

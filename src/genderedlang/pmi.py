@@ -87,11 +87,12 @@ def restricted_train(gtable: GenderCollapsedTable, max_iterations: int = PROP1_M
     p_cond = counts / counts.sum(axis=0, keepdims=True)   # p_hat(v | g)
     m = np.log(counts.sum(axis=1) / counts.sum())[:, None]
 
-    def negated(x: np.ndarray) -> tuple[float, np.ndarray]:
+    def negated(x: np.ndarray, out: np.ndarray) -> float:
         z = m + x.reshape(p_cond.shape)
         z = z - z.max(axis=0)
         log_p = z - np.log(np.exp(z).sum(axis=0))
-        return -float((p_cond * log_p).sum()), (np.exp(log_p) - p_cond).ravel()
+        np.subtract(np.exp(log_p), p_cond, out=out.reshape(p_cond.shape))
+        return -float((p_cond * log_p).sum())
 
     x, values, reason, dev = _lbfgs(negated, np.zeros(p_cond.size), 0, saturation_tol,
                                     max_iterations)

@@ -8,7 +8,7 @@ from genderedlang.corpus import (Gender, GenderLexicon, LexiconEntry, Number, Pa
                                  Relation, aggregate_counts, bundled_lexicon_path,
                                  load_gender_lexicon)
 from genderedlang.lexicons import SenseKind, load_sense_inventory, load_sentiment_lexicon
-from genderedlang.model import FeatureSpace, _forward, _regularizer
+from genderedlang.model import FeatureSpace, _Kernel, _regularizer
 
 DATA = Path(__file__).parent / "data"
 
@@ -42,7 +42,9 @@ def tiny_space(tiny_lexicon):
 
 def forward(params, space):
     """Every factor and marginal of the model in one pass: A, B, c, J, N, rho."""
-    return _forward(params, space.feature_matrix(params.forms))
+    kernel = _Kernel(params, space)
+    kernel.forward(params.eta, params.omega, params.xi)
+    return kernel
 
 
 def sentiment_posterior(params, space):

@@ -334,7 +334,7 @@ class TestTrain:
                      "--out", str(tmp_path), "--bogus"]) == 1
 
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(model, "_objective_from", lambda *args: float("nan"))
+        monkeypatch.setattr(model._Kernel, "objective", lambda *args, **kwargs: float("nan"))
         code = main(["train", "--corpus", str(DATA / "toy_corpus.tsv"),
                      "--relation", "amod", "--max-iterations", "5", "--alpha-grid", "0.01",
                      "--out", str(tmp_path / "o")])
@@ -385,6 +385,21 @@ class TestTrain:
                      "--group-a", str(tmp_path / "a.txt"), "--group-b", str(tmp_path / "b.txt"),
                      "--out", str(out)]) == 2
         assert f"{config}:1:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("joined", [False, True], ids=["spaced", "joined"])
+    def test_repeated_config_is_usage_error(self, tmp_path, capsys, joined):
+        # keeping only the last file would silently drop the first file's keys
+        (tmp_path / "a.txt").write_text("1\n2\n3\n")
+        (tmp_path / "b.txt").write_text("4\n5\n6\n")
+        (tmp_path / "one.conf").write_text(f"group_a = {tmp_path}/a.txt\n")
+        two = tmp_path / "two.conf"
+        two.write_text(f"group_b = {tmp_path}/b.txt\n")
+        second = [f"--config={two}"] if joined else ["--config", str(two)]
+        out = tmp_path / "perm.tsv"
+        assert main(["report", "permtest", "--config", str(tmp_path / "one.conf"), *second,
+                     "--out", str(out)]) == 1
+        assert "--config may be given only once" in capsys.readouterr().err
         assert not out.exists()
 
     def test_config_value_keeps_its_hash(self, tmp_path):

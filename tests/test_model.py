@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -295,14 +296,19 @@ class TestGradient:
             out[idx] = (fp - fm) / (2 * step)
         return out
 
-    def test_matches_central_differences(self, tiny_lexicon, tiny_space):
+    @pytest.mark.parametrize("alpha, beta, n_sentiments", [
+        (0.0, 0.0, 3), (1e-3, 0.0, 3), (0.0, 0.1, 3), (1e-3, 0.1, 3), (0.0, 0.0, 1), (1e-3, 0.0, 1),
+    ], ids=["full_a0_b0", "full_a1e-3_b0", "full_a0_b0.1", "full_a1e-3_b0.1", "collapsed_a0",
+            "collapsed_a1e-3"])
+    def test_matches_central_differences(self, tiny_lexicon, tiny_space, alpha, beta,
+                                         n_sentiments):
         table = tiny_table(tiny_lexicon)
-        params = init_params(table, tiny_space)
+        params = init_params(table, tiny_space, n_sentiments)
         rng = np.random.default_rng(8)
         params.eta = rng.uniform(0.5, 1.5, params.eta.shape)  # interior point
         params.omega = rng.normal(0, 0.5, params.omega.shape)
         params.xi = rng.normal(0, 0.5, params.xi.shape)
-        config = TrainConfig(alpha=1e-3, beta=0.1)
+        config = TrainConfig(alpha=alpha, beta=beta, n_sentiments=n_sentiments)
         g_eta, g_omega, g_xi = gradient(params, tiny_space, table, tiny_prior(), config)
         for got, array in ((g_eta, params.eta), (g_omega, params.omega), (g_xi, params.xi)):
             want = self.finite_difference(params, tiny_space, table, tiny_prior(), config, array)
@@ -354,6 +360,15 @@ def test_train_config_rejects_nan(field):
             TrainConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("max_iterations", 0), ("max_iterations", -5), ("max_iterations", 2.5),
+    ("max_iterations", True), ("n_sentiments", 3.0), ("n_sentiments", True),
+])
+def test_train_config_rejects_non_count(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**{field: value})
+
+
 class TestTrain:
     def test_l1_increases_sparsity(self, toy_table, space, toy_prior):
         sparse = train(toy_table, space, toy_prior, TrainConfig(alpha=0.01, max_iterations=3000))
@@ -391,7 +406,8 @@ class TestTrain:
     def test_divergence_aborts(self, toy_table, space, monkeypatch):
         # The start is finite; the first trial point's objective is not.
         values = iter([0.0])
-        monkeypatch.setattr(model, "_objective_from", lambda *args: next(values, float("nan")))
+        monkeypatch.setattr(model._Kernel, "objective",
+                            lambda *args, **kwargs: next(values, float("nan")))
         with pytest.raises(NumericalError, match="not finite at iterate 1"):
             train(toy_table, space, None, TrainConfig(max_iterations=10))
 
@@ -399,7 +415,8 @@ class TestTrain:
         # Every trial point scores below the start, so backtracking finds no
         # sufficient increase along the first direction.
         values = iter([0.0])
-        monkeypatch.setattr(model, "_objective_from", lambda *args: next(values, -1.0))
+        monkeypatch.setattr(model._Kernel, "objective",
+                            lambda *args, **kwargs: next(values, -1.0))
         result = train(toy_table, space, None, TrainConfig())
         assert result.iterations == 0
         assert result.trace == [0.0]
@@ -446,6 +463,30 @@ class TestTrain:
         assert_all_normalized(result.params, space)
 
 
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    def test_evaluation_allocates_no_work_array(self, lexicon, space, beta):
+        # A training run evaluates in the kernel's own buffers: once warm, no
+        # evaluation allocates even one array of the kernel's (V, S, G) size.
+        rng = np.random.default_rng(4)
+        words = [f"w{i}" for i in range(100)]
+        table = make_table({(w, form): int(rng.integers(1, 9))
+                            for w in words for form in lexicon.entries}, lex=lexicon)
+        prior = SentimentPrior(probs={w: (0.2, 0.3, 0.5) for w in words[::2]})
+        params = init_params(table, space)
+        kernel = model._Kernel(params, space, table.p_hat(),
+                               model._regularizer(prior, params.vocab, beta), 1e-3, beta)
+        x = np.concatenate([params.eta.ravel(), params.omega.ravel(), params.xi.ravel()])
+        out = np.empty_like(x)
+        kernel.negated(x, out)
+        tracemalloc.start()
+        try:
+            kernel.negated(x, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < kernel.A.nbytes
+
+
 class TestGrid:
     def test_singleton_grid_equals_single_run(self, toy_table, space, toy_prior):
         base = TrainConfig(max_iterations=300)
@@ -482,7 +523,7 @@ class TestGrid:
         assert fits == []
 
     def test_failing_cell_names_pair(self, toy_table, space, toy_prior, monkeypatch):
-        monkeypatch.setattr(model, "_objective_from", lambda *args: float("nan"))
+        monkeypatch.setattr(model._Kernel, "objective", lambda *args, **kwargs: float("nan"))
         base = TrainConfig(max_iterations=5)
         with pytest.raises(NumericalError, match=r"alpha=0.001, beta=0.5"):
             grid_train_average(toy_table, space, toy_prior, [1e-3], [0.5], base)
