@@ -12,12 +12,13 @@ relation.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
-from importlib import resources
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
@@ -65,21 +66,40 @@ class GenderLexicon:
         return tuple(sorted(self.entries))
 
 
-def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    """(line number, line without its break) of each line of a UTF-8 text file.
+# Lines of canonical TSV parsed as one block, which bounds the text and cells held at once.
+_BLOCK_LINES = 1 << 14
 
-    A leading byte-order mark is dropped.  Blank and whitespace-only lines,
-    and ``#`` comments at column 0, are skipped.  Bytes that are not UTF-8 are
-    a DataError naming the file but no line: decoding runs ahead of the lines,
-    so a line number would be a guess.
+
+@contextmanager
+def _text(path: str | Path) -> Iterator[TextIO]:
+    """A UTF-8 text file, open for reading, whose leading byte-order mark is dropped.
+
+    Bytes that are not UTF-8 are a DataError naming the file but no line:
+    decoding runs ahead of the lines, so a line number would be a guess.
     """
     with open(path, encoding="utf-8-sig") as fh:
         try:
-            for lineno, line in enumerate(fh, start=1):
-                if line[0] != "#" and not line.isspace():  # a line read from a file is never ""
-                    yield lineno, line.rstrip("\n")
+            yield fh
         except UnicodeDecodeError:
             raise DataError(f"{path}: not UTF-8 text") from None
+
+
+def _is_data(lines: list[str]) -> np.ndarray:
+    """Whether each line is data: neither blank or whitespace-only nor a ``#``
+    comment at column 0."""
+    n = len(lines)
+    return ~(np.fromiter(map(str.isspace, lines), dtype=bool, count=n)
+             | np.fromiter(map(str.startswith, lines, itertools.repeat("#")), dtype=bool, count=n))
+
+
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """(line number, line without its break) of each data line (see `_is_data`)
+    of a UTF-8 text file (see `_text`)."""
+    with _text(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            # `_is_data`'s rule per line (a line read from a file is never "")
+            if line[0] != "#" and not line.isspace():
+                yield lineno, line.rstrip("\n")
 
 
 def read_rows(path: str | Path, columns: int) -> Iterator[tuple[int, list[str]]]:
@@ -103,7 +123,7 @@ def write_rows(path: str | Path, rows: Iterable[Iterable]) -> None:
 
 def bundled_lexicon_path() -> Path:
     """Path of the packaged gendered, animate noun list (90 forms)."""
-    return Path(str(resources.files("genderedlang").joinpath("data/gendered_nouns.tsv")))
+    return Path(__file__).with_name("data") / "gendered_nouns.tsv"
 
 
 def load_gender_lexicon(path: str | Path) -> GenderLexicon:
@@ -216,32 +236,93 @@ def iter_arcs(path: str | Path, lex: GenderLexicon, stats: IngestStats | None = 
                 stats.unknown_forms += 1
 
 
+class _Column:
+    """The distinct raw tokens of one canonical column, numbered in first-seen
+    order, each normalized once; a token normalized to None is unusable."""
+
+    def __init__(self, normalize: Callable[[str], object]):
+        self.normalize = normalize
+        self.codes: dict[str, int] = {}
+        self.values: list = []
+
+    def encode(self, tokens: list[str]) -> np.ndarray:
+        """The code of each token, numbering the new ones."""
+        codes, values = self.codes, self.values
+        new = [token for token in dict.fromkeys(tokens) if token not in codes]
+        codes.update(zip(new, range(len(values), len(values) + len(new))))
+        values.extend(map(self.normalize, new))
+        return np.fromiter(map(codes.__getitem__, tokens), dtype=np.intp, count=len(tokens))
+
+    def usable(self) -> np.ndarray:
+        """Per code: whether its token normalized to a value."""
+        return np.array([value is not None for value in self.values], dtype=bool)
+
+    def decode(self, codes: np.ndarray) -> Iterator:
+        return map(self.values.__getitem__, codes.tolist())
+
+
+def _count(token: str) -> int | None:
+    try:
+        count = int(token)
+    except ValueError:
+        return None
+    return count if count >= 0 else None
+
+
+def _canonical_columns(lex: GenderLexicon) -> tuple[_Column, _Column, _Column, _Column]:
+    """Empty relation, form, neighbor and count columns: a relation is one of
+    Relation, a form is in `lex`, a count is a non-negative int."""
+    entries = lex.entries
+
+    def form(token: str) -> str | None:
+        token = token.strip().lower()
+        return token if token in entries else None
+
+    return (_Column(lambda token: _ACCEPTED_LABELS.get(token.strip().lower())), _Column(form),
+            _Column(lambda token: token.strip().lower()), _Column(_count))
+
+
+def _canonical_blocks(path: str | Path, columns: tuple[_Column, ...],
+                      stats: IngestStats) -> Iterator[tuple[np.ndarray, ...]]:
+    """Per block of lines of canonical TSV: the relation, form, neighbor and
+    count codes in `columns` of its usable records, in file order.
+
+    Each block is split once into its cells; `stats` counts every data line,
+    each line without 4 fields or with an unusable relation or count as
+    malformed, and each other line whose form is not in the lexicon.
+    """
+    with _text(path) as fh:
+        while lines := list(itertools.islice(fh, _BLOCK_LINES)):
+            data = _is_data(lines)
+            four = np.fromiter(map(str.count, lines, itertools.repeat("\t")), dtype=np.intp,
+                               count=len(lines)) == 3
+            rows = list(itertools.compress(lines, (data & four).tolist()))
+            # each row ends in its break but perhaps the file's last, so it gives 4 cells
+            cells = "".join(rows).replace("\n", "\t").split("\t")
+            codes = [column.encode(cells[i:4 * len(rows):4]) for i, column in enumerate(columns)]
+            relation, form, _neighbor, count = codes
+            well_formed = columns[0].usable()[relation] & columns[3].usable()[count]
+            known = well_formed & columns[1].usable()[form]
+            n_data, n_well_formed = int(np.count_nonzero(data)), int(np.count_nonzero(well_formed))
+            stats.lines += n_data
+            stats.malformed += n_data - n_well_formed
+            stats.unknown_forms += n_well_formed - int(np.count_nonzero(known))
+            yield tuple(c[known] for c in codes)
+
+
 def iter_canonical(path: str | Path, lex: GenderLexicon, stats: IngestStats | None = None) -> Iterator[Pair]:
-    """Stream pairs from canonical ``relation form neighbor count`` TSV."""
+    """Stream pairs from canonical ``relation form neighbor count`` TSV.
+
+    Lines are parsed in blocks; `stats` is updated once per block, before
+    its pairs are yielded.
+    """
     if stats is None:
         stats = IngestStats()
-    entries = lex.entries
-    for _, line in read_lines(path):
-        stats.lines += 1
-        fields = line.split("\t")
-        if len(fields) != 4:
-            stats.malformed += 1
-            continue
-        rel_token, form, neighbor, count_token = fields
-        try:
-            count = int(count_token)
-        except ValueError:
-            stats.malformed += 1
-            continue
-        relation = _ACCEPTED_LABELS.get(rel_token.strip().lower())
-        if relation is None or count < 0:
-            stats.malformed += 1
-            continue
-        form = form.strip().lower()
-        if form not in entries:
-            stats.unknown_forms += 1
-            continue
-        yield Pair(form, neighbor.strip().lower(), relation, count)
+    columns = _canonical_columns(lex)
+    rel_col, form_col, neighbor_col, count_col = columns
+    for relation, form, neighbor, count in _canonical_blocks(path, columns, stats):
+        yield from map(Pair, form_col.decode(form), neighbor_col.decode(neighbor),
+                       rel_col.decode(relation), count_col.decode(count))
 
 
 # ---------------------------------------------------------------------------
@@ -284,19 +365,29 @@ class CountTable:
         return h.hexdigest()
 
 
-def _build_table(relation: Relation, cells: dict[tuple[str, str], int]) -> CountTable:
-    if sum(cells.values()) >= 2 ** 63:
+def _build_table(relation: Relation, vocab: tuple[str, ...], rows, forms: tuple[str, ...], cols,
+                 counts, total) -> CountTable:
+    """The table of each record's count summed at (vocab[row], forms[col]); the
+    sorted `vocab` and `forms` name every table row and column, and `total` is
+    the exact sum of the counts."""
+    if total >= 2 ** 63:
         raise DataError(f"total count for relation {relation.value!r} exceeds the int64 range")
-    values = np.array(list(cells.values()))
-    if values.dtype.kind not in "iu":
+    counts = np.asarray(counts)
+    if counts.dtype.kind not in "iu":
         raise DataError(f"non-integer count for relation {relation.value!r}")
+    matrix = np.zeros((len(vocab), len(forms)), dtype=np.int64)
+    np.add.at(matrix, (rows, cols), counts.astype(np.int64, copy=False))
+    return CountTable(relation=relation, matrix=matrix, vocab=vocab, forms=forms)
+
+
+def _cells_table(relation: Relation, cells: dict[tuple[str, str], int]) -> CountTable:
+    """The table of summed (neighbor, form) -> count cells."""
     vocab = tuple(sorted({neighbor for neighbor, _ in cells}))
     forms = tuple(sorted({form for _, form in cells}))
     v_idx = {v: i for i, v in enumerate(vocab)}
     f_idx = {f: j for j, f in enumerate(forms)}
-    matrix = np.zeros((len(vocab), len(forms)), dtype=np.int64)
-    matrix[[v_idx[n] for n, _ in cells], [f_idx[f] for _, f in cells]] = values
-    return CountTable(relation=relation, matrix=matrix, vocab=vocab, forms=forms)
+    return _build_table(relation, vocab, [v_idx[n] for n, _ in cells], forms,
+                        [f_idx[f] for _, f in cells], list(cells.values()), sum(cells.values()))
 
 
 def _sum_cells(records: Iterable[Pair], lex: GenderLexicon,
@@ -330,7 +421,7 @@ def aggregate_by_relation(records: Iterable[Pair],
     a negative or non-integer count is a DataError, and a relation with no
     usable record is absent.  Tables come in Relation order.
     """
-    return {rel: _build_table(rel, cells)
+    return {rel: _cells_table(rel, cells)
             for rel, cells in _sum_cells(records, lex).items() if cells}
 
 
@@ -344,7 +435,42 @@ def aggregate_counts(records: Iterable[Pair], relation: Relation, lex: GenderLex
     cells = _sum_cells(records, lex, relation)[relation]
     if not cells:
         raise DataError(f"empty table: no usable records for relation {relation.value!r}")
-    return _build_table(relation, cells)
+    return _cells_table(relation, cells)
+
+
+def load_canonical_table(path: str | Path, relation: Relation, lex: GenderLexicon) -> CountTable:
+    """``aggregate_counts(iter_canonical(path, lex), relation, lex)``, summed from
+    the code columns of the records: no Pair is built."""
+    columns = _canonical_columns(lex)
+    rel_col, form_col, neighbor_col, count_col = columns
+    picked = [(np.empty(0, dtype=np.intp),) * 3]
+    for rel, form, neighbor, count in _canonical_blocks(path, columns, IngestStats()):
+        ours = np.array([value is relation for value in rel_col.values], dtype=bool)[rel]
+        picked.append((neighbor[ours], form[ours], count[ours]))
+    neighbor, form, count = map(np.concatenate, zip(*picked))
+    values = count_col.values
+    # every count that fits, so each positive one reads positive; the total is exact
+    clipped = np.array([min(value or 0, 2 ** 63 - 1) for value in values], dtype=np.int64)
+    keep = clipped[count] > 0
+    neighbor, form, count = neighbor[keep], form[keep], count[keep]
+    if not len(count):
+        raise DataError(f"empty table: no usable records for relation {relation.value!r}")
+    uses = np.bincount(count, minlength=len(values)).tolist()
+    total = sum(value * n for value, n in zip(values, uses) if n)
+    vocab, rows = _sorted_names(neighbor, neighbor_col.values)
+    forms, cols = _sorted_names(form, form_col.values)
+    return _build_table(relation, vocab, rows, forms, cols, clipped[count], total)
+
+
+def _sorted_names(codes: np.ndarray, names: list) -> tuple[tuple[str, ...], np.ndarray]:
+    """The sorted distinct strings ``names[c]`` of the `codes`, and the position
+    of each code's string among them (distinct codes may name one string)."""
+    used = np.bincount(codes, minlength=len(names)).astype(bool).tolist()
+    order = tuple(sorted(set(itertools.compress(names, used))))
+    position = dict(zip(order, range(len(order))))
+    lookup = np.fromiter(map(position.get, names, itertools.repeat(0)), dtype=np.intp,
+                         count=len(names))
+    return order, lookup[codes]
 
 
 def write_canonical(path: str | Path, table: CountTable) -> None:

@@ -57,8 +57,9 @@ class TestResult:
     mean_b: float
 
 
-# A resampling block holds at most this many indices (512 KiB), so it stays in
-# cache at any group size; the draws do not depend on it.
+# A resampling block holds at most this many indices, and a block of sums about
+# this many values (512 KiB each), so both stay in cache at any group size; the
+# draws and the hit counts do not depend on it.
 _BLOCK_VALUES = 1 << 16
 
 
@@ -73,15 +74,49 @@ def _shuffles(n: int, permutations: int, seed: int):
         yield block
 
 
-def _relabelings(n: int, k: int):
-    """Row blocks of the k-subsets of ``range(n)``, in ``itertools.combinations``
-    order."""
-    combos = itertools.combinations(range(n), k)
-    rows = max(1, _BLOCK_VALUES // k)
-    for _ in range(0, math.comb(n, k), rows):
+def _subset_sums(values: np.ndarray, t: int, rows: int):
+    """Blocks of at most `rows` sums of the t-subsets of each row of (C, m)
+    `values`, in ``itertools.combinations`` order: blocks of shape (C, <= rows)."""
+    if t == 0:
+        yield np.zeros((len(values), 1))
+        return
+    combos = itertools.combinations(range(values.shape[1]), t)
+    for _ in range(0, math.comb(values.shape[1], t), rows):
         idx = np.fromiter(itertools.chain.from_iterable(itertools.islice(combos, rows)),
                           dtype=np.intp)
-        yield idx.reshape(-1, k)
+        yield values[:, idx.reshape(-1, t)].sum(axis=2)
+
+
+def _exact_sums(pooled: np.ndarray, k: int):
+    """Blocks of (C, m) sums, every k-subset of the columns of (C, n) `pooled`
+    summed once over all blocks, each block at most about _BLOCK_VALUES values.
+
+    Meet in the middle: a k-subset is j values of the first half and k - j of
+    the second.  For each j the half with fewer such subsets is summed whole
+    (at most sqrt(C(n, k)) sums), and the other half's sums are streamed
+    against it by broadcasting.
+    """
+    n = pooled.shape[1]
+    halves = (pooled[:, :n // 2], pooled[:, n // 2:])
+    per_column = max(1, _BLOCK_VALUES // len(pooled))
+    for j in range(max(0, k - halves[1].shape[1]), min(k, halves[0].shape[1]) + 1):
+        (whole, s), (streamed, t) = sorted(zip(halves, (j, k - j)),
+                                           key=lambda half: math.comb(half[0].shape[1], half[1]))
+        fixed = np.concatenate(list(_subset_sums(whole, s, per_column)), axis=1)
+        rows = max(1, per_column // max(t, fixed.shape[1]))
+        for sums in _subset_sums(streamed, t, rows):
+            yield (sums[:, :, None] + fixed[:, None, :]).reshape(len(pooled), -1)
+
+
+def _shuffled_sums(pooled: np.ndarray, k: int, permutations: int, seed: int):
+    """Blocks of (C, m) sums of the first k values of each `_shuffles` draw, per
+    column of (C, n) `pooled`: each block's 0/1 mask of those indices times the
+    pooled values."""
+    n = pooled.shape[1]
+    for block in _shuffles(n, permutations, seed):
+        mask = np.zeros(block.shape)
+        np.put_along_axis(mask, block[:, :k], 1.0, axis=1)
+        yield pooled @ mask.T
 
 
 def _permutation_tests(a: np.ndarray, b: np.ndarray, permutations: int, seed: int,
@@ -94,8 +129,8 @@ def _permutation_tests(a: np.ndarray, b: np.ndarray, permutations: int, seed: in
     if len(a) == 0 or len(b) == 0:
         raise DataError("both groups must be non-empty")
     n_a, n = len(a), len(a) + len(b)
-    # (C, n): each column's pooled values on one contiguous row, so every sum
-    # below runs in the same order as on a 1-D group
+    # (C, n): each column's pooled values on one contiguous row, so its means
+    # and total sum in the same order as on a 1-D group
     pooled = np.ascontiguousarray(np.concatenate([a, b]).T)
     # max |x| * n bounds every subset sum, so no mean or statistic below can overflow
     if not float(np.abs(pooled).max()) * n < math.inf:  # NaN fails too
@@ -104,28 +139,26 @@ def _permutation_tests(a: np.ndarray, b: np.ndarray, permutations: int, seed: in
     observed = np.abs(mean_a - mean_b)
     sum_all = pooled.sum(axis=1)
     # Tiny slack absorbs last-ulp differences between the observed statistic
-    # and the identical relabeling reached through a different summation order.
-    threshold = observed - 1e-12 * np.maximum(1.0, observed)
+    # and the identical relabeling reached through a different summation order,
+    # so the hit counts do not depend on how a block sums its subsets.
+    threshold = (observed - 1e-12 * np.maximum(1.0, observed))[:, None]
 
     # The statistic is symmetric in the groups, so the exact test enumerates
-    # the subsets of the smaller one: C(n, k) rows of k indices each.
+    # the C(n, k) subsets of the smaller one.
     k = min(n_a, n - n_a)
     total = math.comb(n, k)
     exact = total <= 1_000_000
     if exact:
-        blocks, used, add_one = _relabelings(n, k), total, 0
+        blocks, used, add_one = _exact_sums(pooled, k), total, 0
     elif permutations <= 0:
         raise DataError("permutations must be positive for Monte Carlo testing")
     else:
         k = n_a  # the first |A| indices of each shuffle are relabeled A
-        blocks, used, add_one = _shuffles(n, permutations, seed), permutations, 1
+        blocks, used, add_one = _shuffled_sums(pooled, k, permutations, seed), permutations, 1
     hits = np.zeros(len(pooled), dtype=np.int64)
-    for block in blocks:
-        chosen = block[:, :k]
-        for c, row in enumerate(pooled):
-            sums = row[chosen].sum(axis=1)
-            hits[c] += np.count_nonzero(np.abs(sums / k - (sum_all[c] - sums) / (n - k))
-                                        >= threshold[c])
+    for sums in blocks:
+        stat = np.abs(sums / k - (sum_all[:, None] - sums) / (n - k))
+        hits += np.count_nonzero(stat >= threshold, axis=1)
     p = (hits + add_one) / (used + add_one)
     return [TestResult(statistic=float(observed[c]), p_value=float(p[c]),
                        significant=bool(p[c] < alpha), permutations_used=used, exact=exact,

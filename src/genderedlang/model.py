@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
@@ -495,6 +494,8 @@ def grid_train_average(table: CountTable, space: FeatureSpace, prior: SentimentP
             raise NumericalError(f"grid cell (alpha={a}, beta={b}) failed: {err}") from err
 
     if jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor  # imported only where it runs
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(run_cell, cells))
     else:

@@ -1,13 +1,19 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from genderedlang import cli, model
+from genderedlang.checkpoint import save_checkpoint
 from genderedlang.cli import main
-from genderedlang.corpus import bundled_lexicon_path, load_gender_lexicon
+from genderedlang.corpus import (aggregate_counts, bundled_lexicon_path, load_gender_lexicon,
+                                 write_rows)
 from genderedlang.lexicons import SenseKind, load_sense_inventory, load_sentiment_lexicon
+from genderedlang.synth import SynthConfig, generate, write_synth
 
 from conftest import DATA
 
@@ -549,3 +555,53 @@ class TestSynthCommand:
 
     def test_vocab_size_floor_is_usage_error(self, tmp_path):
         assert main(["synth", "--vocab-size", "3", "--out", str(tmp_path / "x")]) == 1
+
+
+@pytest.fixture(scope="module")
+def planted(tmp_path_factory):
+    """A synth corpus's files, checkpoints of its planted gender scores on every
+    sentiment axis (`full`, S=3, and `collapsed`, S=1), and a `prior` sentiment
+    lexicon of seeded random concentrations (synth's own gives every planted
+    word the same prior, so its sentiment tests are all p = 1)."""
+    out = tmp_path_factory.mktemp("planted")
+    lex = load_gender_lexicon(bundled_lexicon_path())
+    data = generate(SynthConfig(seed=13, vocab_size=240, n_pairs=60_000, planted_body_fem=0.15),
+                    lex)
+    files = write_synth(out, data, lex)
+    space = model.FeatureSpace.from_lexicon(lex)
+    table = aggregate_counts(data.pairs, data.config.relation, lex)
+    for name, n_sentiments in (("full", 3), ("collapsed", 1)):
+        params = model.init_params(table, space, n_sentiments=n_sentiments)
+        for word, grade in data.manifest["true_gender_scores"].items():
+            column = space.fem_index if grade > 0 else space.masc_index
+            params.eta[params.vocab_index(word), :, column] = abs(grade)
+        files[name] = out / f"{name}.json"
+        save_checkpoint(files[name], params, space, model.TrainConfig(n_sentiments=n_sentiments),
+                        table.fingerprint(), data.config.relation.value)
+    files["prior"] = out / "prior.tsv"
+    rng = np.random.default_rng(13)
+    write_rows(files["prior"], [(word, *rng.gamma(2.0, 1.0, 3).tolist()) for word in table.vocab])
+    return files
+
+
+def test_report_bytes_do_not_depend_on_the_blas_thread_count(planted, tmp_path):
+    """The Monte Carlo sums of `report senses` and `report sentiment` are a gemm
+    of 0/1 masks; on 1 and 2 OpenBLAS threads they write the same bytes."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    written = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        for argv in (["senses", "--checkpoint", str(planted["full"]),
+                      "--inventory", str(planted["senses"]), "--k", "40"],
+                     ["sentiment", "--checkpoint", str(planted["collapsed"]),
+                      "--sentiment-lexicon", str(planted["prior"]), "--k", "40"]):
+            subprocess.run([sys.executable, "-m", "genderedlang.cli", "report", *argv,
+                            "--permutations", "20000", "--out", str(out / f"{argv[0]}.tsv")],
+                           env=env, check=True)
+        written[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert sorted(written["1"]) == ["senses.tsv", "sentiment.tsv"]
+    assert written["1"] == written["2"]

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from genderedlang import corpus
 from genderedlang.corpus import (GENDERS, Gender, IngestStats, Number, Pair, Relation,
                                  aggregate_by_relation, aggregate_counts, gender_marginals,
-                                 gender_onehot, iter_arcs, iter_canonical, load_gender_lexicon,
-                                 parse_arcs_line, read_lines, write_canonical, write_rows)
+                                 gender_onehot, iter_arcs, iter_canonical, load_canonical_table,
+                                 load_gender_lexicon, parse_arcs_line, read_lines,
+                                 write_canonical, write_rows)
 from genderedlang.errors import DataError, MalformedLineError
 from genderedlang.pmi import collapse_by_gender
 
@@ -222,6 +224,11 @@ _CANONICAL_ROW = st.tuples(
 ).map(lambda row: "\t".join([*row[:4], "extra"][:row[4]]))
 _CANONICAL_LINE = st.one_of(_CANONICAL_ROW,
                             st.sampled_from(["", "   ", "\t", "# amod\twoman\ttall\t3", " # x"]))
+# counts whose sum over a few rows reaches 2**63, and zero counts
+_LARGE_COUNT_ROW = st.tuples(
+    st.sampled_from(["amod", "dobj"]), st.sampled_from(["woman", "Man"]), st.sampled_from(["a", "B"]),
+    st.sampled_from([str(2 ** 62), str(2 ** 63), str(2 ** 64), "0"]),
+).map("\t".join)
 
 
 class TestCanonicalReader:
@@ -253,6 +260,55 @@ class TestCanonicalReader:
         assert pairs == want_pairs
         assert all(type(p.relation) is Relation for p in pairs)
         assert stats == want_stats
+
+    @given(st.lists(st.one_of(_CANONICAL_LINE, _LARGE_COUNT_ROW), min_size=4, max_size=25))
+    @settings(max_examples=150, deadline=None)
+    def test_blocks_of_three_lines_match_the_reference(self, lexicon, tmp_path_factory, lines):
+        """Split into blocks of 3 lines, the reader still gives the reference's pairs
+        and stats, and the CLI's column loader gives the table (or the error) that
+        aggregating those pairs gives, for every relation."""
+        path = tmp_path_factory.mktemp("canonical") / "lines.tsv"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        want_pairs, want_stats = _reference_canonical(path, lexicon)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(corpus, "_BLOCK_LINES", 3)
+            stats = IngestStats()
+            assert list(iter_canonical(path, lexicon, stats)) == want_pairs
+            assert stats == want_stats
+            for relation in Relation:
+                _assert_same_table(path, relation, lexicon)
+
+    def test_zero_count_relation_and_int64_total(self, lexicon, tmp_path, monkeypatch):
+        monkeypatch.setattr(corpus, "_BLOCK_LINES", 3)
+        path = tmp_path / "c.tsv"
+        path.write_text("nsubj\twoman\tstood\t0\namod\tWoman\tTall\t3\n# x\n\nnsubj\tman\tsat\t 0\n"
+                        f"dobj\tman\tsaw\t{2 ** 62}\ndobj\tqueen\tsaw\t{2 ** 62}\n"
+                        "amod\tman\ttall\t2\namod\tman\tbrave\t0\n", encoding="utf-8")
+        for relation in Relation:
+            _assert_same_table(path, relation, lexicon)
+        with pytest.raises(DataError, match="empty table: no usable records for relation 'nsubj'"):
+            load_canonical_table(path, Relation.NSUBJ, lexicon)
+        with pytest.raises(DataError, match="exceeds the int64 range"):
+            load_canonical_table(path, Relation.DOBJ, lexicon)
+        table = load_canonical_table(path, Relation.AMOD, lexicon)
+        assert (table.vocab, table.forms, table.matrix.tolist()) == (
+            ("tall",), ("man", "woman"), [[2, 3]])
+
+
+def _assert_same_table(path, relation, lexicon):
+    """load_canonical_table equals aggregate_counts(iter_canonical(...)), or both
+    raise the same DataError."""
+    try:
+        want = aggregate_counts(iter_canonical(path, lexicon), relation, lexicon)
+    except DataError as err:
+        with pytest.raises(DataError) as got:
+            load_canonical_table(path, relation, lexicon)
+        assert str(got.value) == str(err)
+        return
+    table = load_canonical_table(path, relation, lexicon)
+    assert (table.relation, table.vocab, table.forms) == (want.relation, want.vocab, want.forms)
+    assert table.matrix.dtype == np.int64 and np.array_equal(table.matrix, want.matrix)
+    assert table.fingerprint() == want.fingerprint()
 
 
 class TestAggregate:

@@ -191,24 +191,31 @@ class TestPermutationTest:
         result = permutation_test(a, b, permutations=200, seed=0)
         assert 0.0 < result.p_value <= 1.0
 
-    def test_exact_hits_match_brute_force(self):
-        """Every split of the pooled values into |A| and |B|, scored one at a time."""
+    def test_exact_hits_match_brute_force(self, monkeypatch):
+        """Every split of the pooled values into |A| and |B|, scored one at a time,
+        for 1-, 2- and 3-column families, whole and in subset-sum blocks of 7 values."""
         rng = np.random.default_rng(8)
-        for _ in range(60):
+        for trial in range(90):
+            monkeypatch.setattr(evaluation, "_BLOCK_VALUES", 7 if trial % 2 else 1 << 16)
             n = int(rng.integers(2, 13))
             n_a = int(rng.integers(1, n))
-            pooled = rng.integers(0, 4, n).astype(float)  # heavy ties
+            columns = trial % 3 + 1
+            pooled = rng.integers(0, 4, (n, columns)).astype(float)  # heavy ties
             if rng.random() < 0.3:
-                pooled = rng.normal(0, 1, n)
-            result = permutation_test(pooled[:n_a], pooled[n_a:])
-            observed = abs(pooled[:n_a].mean() - pooled[n_a:].mean())
-            hits = 0
-            for combo in itertools.combinations(range(n), n_a):
-                in_a = np.isin(np.arange(n), combo)
-                stat = abs(pooled[in_a].mean() - pooled[~in_a].mean())
-                hits += stat >= observed - 1e-12 * max(1.0, observed)
-            assert result.exact and result.permutations_used == math.comb(n, n_a)
-            assert result.p_value == hits / math.comb(n, n_a)
+                pooled = rng.normal(0, 1, (n, columns))
+            results = evaluation._permutation_tests(pooled[:n_a], pooled[n_a:], 100, 0, 0.05)
+            for c, result in enumerate(results):
+                values = pooled[:, c]
+                observed = abs(values[:n_a].mean() - values[n_a:].mean())
+                hits = 0
+                for combo in itertools.combinations(range(n), n_a):
+                    in_a = np.isin(np.arange(n), combo)
+                    stat = abs(values[in_a].mean() - values[~in_a].mean())
+                    hits += stat >= observed - 1e-12 * max(1.0, observed)
+                assert result.exact and result.permutations_used == math.comb(n, n_a)
+                assert result.p_value == hits / math.comb(n, n_a)
+            if columns == 1:
+                assert permutation_test(pooled[:n_a, 0], pooled[n_a:, 0]) == results[0]
 
     @pytest.mark.parametrize("seed", [0, 3, 11])
     def test_monte_carlo_hits_match_per_permutation_loop(self, monkeypatch, seed):
@@ -243,6 +250,21 @@ class TestPermutationTest:
         assert result.exact and result.permutations_used == 2001
         assert peak < 4_000_000  # 2,001 subsets of one value, not of 2,000
         assert result.p_value == permutation_test([0.5], big).p_value
+
+    def test_exact_family_memory_is_bounded_by_the_block(self):
+        """All 705,432 relabelings of 11 vs 11 values, for 13 columns at once, held
+        a block of at most _BLOCK_VALUES sums at a time."""
+        rng = np.random.default_rng(4)
+        a, b = rng.dirichlet(np.ones(13), 11), rng.dirichlet(np.ones(13), 11)
+        tracemalloc.start()
+        try:
+            results = evaluation._permutation_tests(a, b, 100, 0, 0.05)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(r.exact and r.permutations_used == math.comb(22, 11) for r in results)
+        assert peak < 4_000_000  # all sums at once would take 73 MB
+        assert results[3] == permutation_test(a[:, 3], b[:, 3])
 
 
 class TestSpearman:
