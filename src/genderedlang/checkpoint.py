@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Gender, GenderLexicon, LexiconEntry, Number
+from .corpus import Gender, GenderLexicon, LexiconEntry, Number, Relation
 from .errors import DataError
 from .model import FeatureSpace, ModelParams, TrainConfig
 
@@ -129,11 +129,13 @@ def _from_doc(doc: dict) -> Checkpoint:
         if not (0 <= v < shape[0] and 0 <= s < shape[1] and 0 <= t < shape[2]):
             raise DataError(f"eta index {[v, s, t]} outside eta_shape {list(shape)}")
         eta[v, s, t] = value
+    if len({(v, s, t) for v, s, t, _ in doc["eta"]}) < len(doc["eta"]):  # saved once each
+        raise DataError("an eta index is given more than once")
     for name, values in (("m", m), ("eta", eta), ("omega", omega), ("xi", xi)):
         if not np.isfinite(values).all():
             raise DataError(f"non-finite value in {name}")
     return Checkpoint(
         params=ModelParams(vocab=vocab, forms=forms, m=m, eta=eta, omega=omega, xi=xi),
         space=space,
-        relation=doc["relation"],
+        relation=Relation(doc["relation"]).value,
     )

@@ -121,9 +121,8 @@ def cmd_train(args) -> int:
     space = FeatureSpace.from_lexicon(lex)
 
     alphas, betas = args.alpha_grid, args.beta_grid
-    if args.no_sentiment and any(b > 0 for b in betas):
-        raise UsageError("--no-sentiment is incompatible with a non-zero beta grid")
-    n_sentiments = 1 if args.no_sentiment else 3
+    # only the regularizer tells sentiment slices apart, so an all-zero grid fits one
+    n_sentiments = 3 if any(b > 0 for b in betas) else 1
 
     prior = load_sentiment_lexicon(args.sentiment_lexicon) if args.sentiment_lexicon else None
     base = TrainConfig(max_iterations=args.max_iterations, tolerance=args.tolerance,
@@ -292,9 +291,6 @@ def cmd_synth(args) -> int:
 # parser assembly
 
 
-_BOOL_KEYS = {"no_sentiment"}
-
-
 def _expand_config(argv: list[str]) -> list[str]:
     """Splice config-file key=value pairs in as flags; a key whose flag is given too is dropped."""
     if "--config" not in argv and not any(a.startswith("--config=") for a in argv):
@@ -325,14 +321,8 @@ def _expand_config(argv: list[str]) -> list[str]:
         key = key.replace("_", "-")
         if key == "config":  # would reach argparse as the help-only --config and be dropped
             raise DataError(f"{config_path}:{lineno}: a config file cannot name another")
-        if key.replace("-", "_") in _BOOL_KEYS:
-            if value.lower() not in ("true", "1", "yes", "false", "0", "no"):
-                raise DataError(f"{config_path}:{lineno}: bad boolean {value!r}")
-            flag = [f"--{key}"] if value.lower() in ("true", "1", "yes") else []
-        else:
-            flag = [f"--{key}", value]
         if f"--{key}" not in given:
-            tokens.extend(flag)
+            tokens.extend([f"--{key}", value])
     # Insert after the subcommand token(s) so explicit flags take precedence.
     n_sub = 0
     while n_sub < len(out) and not out[n_sub].startswith("-"):
@@ -369,13 +359,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--alpha-grid", type=_parse_grid, default="0",
                    help="comma-separated L1 weights")
     p.add_argument("--beta-grid", type=_parse_grid, default="0",
-                   help="comma-separated regularizer weights")
+                   help="comma-separated regularizer weights; any > 0 fits sentiment axes")
     p.add_argument("--max-iterations", type=_POSITIVE_INT, default=TrainConfig.max_iterations)
     p.add_argument("--tolerance", type=_POSITIVE_FLOAT, default=TrainConfig.tolerance,
                    help="stop once the KKT residual (projected-gradient inf-norm) is this small")
     p.add_argument("--jobs", type=_POSITIVE_INT, default=1)
-    p.add_argument("--no-sentiment", action="store_true",
-                   help="collapse sentiments (S=1) and disable the regularizer")
     p.add_argument("--out", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_train)

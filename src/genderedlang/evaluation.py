@@ -132,12 +132,15 @@ def _permutation_tests(a: np.ndarray, b: np.ndarray, permutations: int, seed: in
     # (C, n): each column's pooled values on one contiguous row, so its means
     # and total sum in the same order as on a 1-D group
     pooled = np.ascontiguousarray(np.concatenate([a, b]).T)
-    # max |x| * n bounds every subset sum, so no mean or statistic below can overflow
-    if not float(np.abs(pooled).max()) * n < math.inf:  # NaN fails too
+    # 2 max |x| * n bounds every subset sum of the raw and the centred values below
+    if not float(np.abs(pooled).max()) * 2 * n < math.inf:  # NaN fails too
         raise DataError("group values must be finite and small enough that no sum overflows")
     mean_a, mean_b = pooled[:, :n_a].mean(axis=1), pooled[:, n_a:].mean(axis=1)
-    observed = np.abs(mean_a - mean_b)
-    sum_all = pooled.sum(axis=1)
+    # Relabelings are scored on values centred on each column's first one: no statistic
+    # moves and equal values stay equal, but a large common offset no longer rounds the sums.
+    centred = pooled - pooled[:, :1]
+    observed = np.abs(centred[:, :n_a].mean(axis=1) - centred[:, n_a:].mean(axis=1))
+    sum_all = centred.sum(axis=1)
     # Tiny slack absorbs last-ulp differences between the observed statistic
     # and the identical relabeling reached through a different summation order,
     # so the hit counts do not depend on how a block sums its subsets.
@@ -149,18 +152,18 @@ def _permutation_tests(a: np.ndarray, b: np.ndarray, permutations: int, seed: in
     total = math.comb(n, k)
     exact = total <= 1_000_000
     if exact:
-        blocks, used, add_one = _exact_sums(pooled, k), total, 0
+        blocks, used, add_one = _exact_sums(centred, k), total, 0
     elif permutations <= 0:
         raise DataError("permutations must be positive for Monte Carlo testing")
     else:
         k = n_a  # the first |A| indices of each shuffle are relabeled A
-        blocks, used, add_one = _shuffled_sums(pooled, k, permutations, seed), permutations, 1
+        blocks, used, add_one = _shuffled_sums(centred, k, permutations, seed), permutations, 1
     hits = np.zeros(len(pooled), dtype=np.int64)
     for sums in blocks:
         stat = np.abs(sums / k - (sum_all[:, None] - sums) / (n - k))
         hits += np.count_nonzero(stat >= threshold, axis=1)
     p = (hits + add_one) / (used + add_one)
-    return [TestResult(statistic=float(observed[c]), p_value=float(p[c]),
+    return [TestResult(statistic=float(abs(mean_a[c] - mean_b[c])), p_value=float(p[c]),
                        significant=bool(p[c] < alpha), permutations_used=used, exact=exact,
                        mean_a=float(mean_a[c]), mean_b=float(mean_b[c]))
             for c in range(len(pooled))]

@@ -248,8 +248,8 @@ def test_criterion_9_output_schemas(tmp_path, lexicon):
                  "--max-iterations", "500", "--out", str(train_dir)]) == 0
     collapsed_dir = tmp_path / "toy_collapsed"
     assert main(["train", "--corpus", str(DATA / "toy_corpus.tsv"), "--relation", "amod",
-                 "--no-sentiment", "--alpha-grid", "0.001",
-                 "--max-iterations", "500", "--out", str(collapsed_dir)]) == 0
+                 "--alpha-grid", "0.001", "--max-iterations", "500",
+                 "--out", str(collapsed_dir)]) == 0
     ckpt = str(train_dir / "checkpoint_averaged.json")
 
     def rows_of(path):

@@ -14,6 +14,7 @@ outside the tests.
 import ast
 import importlib
 import inspect
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -171,6 +172,20 @@ def test_public_classes_define_no_dunders():
                if _defines(stmt) and stmt.name.startswith("__") and stmt.name.endswith("__")
                and stmt.name != "__post_init__"]
     assert not dunders, f"dunders on public classes: {', '.join(dunders)}"
+
+
+def test_bench_commands_parse(monkeypatch):
+    """Each workload's command lines parse, so a renamed or removed flag fails
+    here rather than as a failed benchmark run."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    parser = importlib.import_module("genderedlang.cli")._build_parser()
+    inputs = workloads.Inputs(defaultdict(lambda: Path("x")), {})
+    argvs = [argv for workload in workloads.WORKLOADS.values()
+             for _stage, argv in workload.commands(inputs, Path("out"))]
+    assert len(argvs) >= 9
+    for argv in argvs:
+        parser.parse_args(argv)
 
 
 @pytest.mark.parametrize("name", ["iter_arcs", "iter_canonical"])

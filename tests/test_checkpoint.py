@@ -42,7 +42,7 @@ class TestCheckpoint:
     def test_space_round_trips(self, toy_table, space, tmp_path):
         params = random_params(toy_table, space)
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, params, space, TrainConfig(), "amod", "fp")
+        save_checkpoint(path, params, space, TrainConfig(), "fp", "amod")
         loaded = load_checkpoint(path)
         assert loaded.space.lemmas == space.lemmas
         assert loaded.space.form_bits == space.form_bits
@@ -50,9 +50,9 @@ class TestCheckpoint:
     def test_rewrite_is_byte_identical(self, toy_table, space, tmp_path):
         params = random_params(toy_table, space, seed=1)
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        save_checkpoint(p1, params, space, TrainConfig(), "amod", "fp")
+        save_checkpoint(p1, params, space, TrainConfig(), "fp", "amod")
         loaded = load_checkpoint(p1)
-        save_checkpoint(p2, loaded.params, loaded.space, TrainConfig(), "amod", loaded.relation)
+        save_checkpoint(p2, loaded.params, loaded.space, TrainConfig(), "fp", loaded.relation)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_garbage_rejected(self, tmp_path):
@@ -164,6 +164,18 @@ def _form_outside_space(doc):
     doc["forms"][0] = "zzz"
 
 
+def _relation_not_a_string(doc):
+    doc["relation"] = 5
+
+
+def _relation_unknown(doc):
+    doc["relation"] = "prep"
+
+
+def _eta_index_repeated(doc):
+    doc["eta"].append([*doc["eta"][0][:3], 123.0])
+
+
 def _deeply_nested(doc):
     return '{"extra": ' + "[" * 100_000 + "]" * 100_000 + "}"
 
@@ -193,6 +205,9 @@ MALFORMED = {
     "vocab_entry_not_a_string": (_vocab_entry_not_a_string, "distinct strings"),
     "duplicate_form": (_duplicate_form, "distinct strings"),
     "form_outside_space": (_form_outside_space, "distinct strings"),
+    "relation_not_a_string": (_relation_not_a_string, "not a valid Relation"),
+    "relation_unknown": (_relation_unknown, "'prep' is not a valid Relation"),
+    "eta_index_repeated": (_eta_index_repeated, "given more than once"),
     "deeply_nested": (_deeply_nested, "not a valid checkpoint"),
 }
 

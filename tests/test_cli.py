@@ -40,8 +40,7 @@ def trained(tmp_path_factory):
 def trained_collapsed(tmp_path_factory):
     out = tmp_path_factory.mktemp("collapsed")
     code = main(["train", "--corpus", str(DATA / "toy_corpus.tsv"), "--relation", "amod",
-                 "--no-sentiment", "--alpha-grid", "0.001",
-                 "--max-iterations", "400", "--out", str(out)])
+                 "--alpha-grid", "0.001", "--max-iterations", "400", "--out", str(out)])
     assert code == 0
     return out
 
@@ -330,10 +329,14 @@ class TestTrain:
         assert code == 2
         assert fits == []  # rejected before the beta = 0 cell trains
 
-    def test_no_sentiment_with_beta_grid_is_usage_error(self, tmp_path):
-        code = main(["train", "--corpus", str(DATA / "toy_corpus.tsv"), "--relation", "amod",
-                     "--no-sentiment", "--beta-grid", "1", "--out", str(tmp_path / "o")])
+    def test_config_no_sentiment_key_is_usage_error(self, tmp_path):
+        # the beta grid decides the sentiment axes; the old key names no flag
+        config = tmp_path / "run.conf"
+        config.write_text("no_sentiment = true\n", encoding="utf-8")
+        code = main(["train", "--config", str(config), "--corpus", str(DATA / "toy_corpus.tsv"),
+                     "--relation", "amod", "--out", str(tmp_path / "o")])
         assert code == 1
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_flag_is_usage_error(self, tmp_path):
         assert main(["train", "--corpus", "x", "--relation", "amod",
@@ -350,7 +353,7 @@ class TestTrain:
         config = tmp_path / "run.conf"
         config.write_text(
             "corpus = {}\nrelation = amod\nalpha_grid = 0.001\n"
-            "max_iterations = 50\nno_sentiment = true\n".format(DATA / "toy_corpus.tsv"))
+            "max_iterations = 50\n".format(DATA / "toy_corpus.tsv"))
         out = tmp_path / "fromconf"
         code = main(["train", "--config", str(config), "--max-iterations", "60",
                      "--out", str(out)])

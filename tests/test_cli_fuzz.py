@@ -38,7 +38,7 @@ CASES = {
                          "--beta-grid", "0.5", "--max-iterations", "20", "--out", "{out}"],
                         SENTIMENT),
     "train-lexicon": (["train", "--corpus", str(CORPUS), "--relation", "amod",
-                       "--gender-lexicon", "{fuzz}", "--no-sentiment", "--max-iterations", "20",
+                       "--gender-lexicon", "{fuzz}", "--max-iterations", "20",
                        "--out", "{out}"], LEXICON),
     "topk-checkpoint": (["report", "topk", "--checkpoint", "{fuzz}", "--out", "{out}"],
                         "{checkpoint}"),
@@ -82,7 +82,7 @@ def inputs(tmp_path_factory):
     """Valid files for the inputs no case takes from the repository."""
     root = tmp_path_factory.mktemp("fuzz_inputs")
     train = root / "train"
-    assert main(["train", "--corpus", str(CORPUS), "--relation", "amod", "--no-sentiment",
+    assert main(["train", "--corpus", str(CORPUS), "--relation", "amod",
                  "--max-iterations", "50", "--out", str(train)]) == 0
     checkpoint = train / "checkpoint_averaged.json"
     vocab = json.loads(checkpoint.read_text())["vocab"]

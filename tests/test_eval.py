@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -183,6 +184,9 @@ class TestPermutationTest:
         # finite values whose group mean overflows used to give statistic inf and p 0.0
         with pytest.raises(DataError, match="no sum overflows"):
             permutation_test([1e308, 1e308, 1.0], [0.0, 0.0, -1e308])
+        # every raw sum is finite, but the values centred on 4e307 sum to -2.4e308
+        with pytest.raises(DataError, match="no sum overflows"):
+            permutation_test([4e307, -4e307], [-4e307, -4e307])
 
     @given(st.lists(st.floats(-10, 10), min_size=1, max_size=6),
            st.lists(st.floats(-10, 10), min_size=1, max_size=6))
@@ -216,6 +220,37 @@ class TestPermutationTest:
                 assert result.p_value == hits / math.comb(n, n_a)
             if columns == 1:
                 assert permutation_test(pooled[:n_a, 0], pooled[n_a:, 0]) == results[0]
+
+    def test_exact_p_matches_rational_enumeration_at_any_offset(self):
+        """Tie-heavy groups with a common offset of 1 to 1e9, each offset one column
+        of a family, against every relabeling scored in exact rationals.  Columns whose
+        statistics come within 1e-6 of the observed one without equalling it are
+        skipped: the slack may count those as ties."""
+        rng = np.random.default_rng(5)
+        offsets = [1.0, 1e3, 1e6, 1e9]
+        checked = 0
+        for step in (0.1, 0.3, 1 / 3, 0.7):
+            for _ in range(20):
+                n = int(rng.integers(4, 11))
+                n_a = int(rng.integers(1, n))
+                pooled = np.add.outer(step * rng.integers(0, 4, n), offsets)
+                results = evaluation._permutation_tests(pooled[:n_a], pooled[n_a:], 100, 0, 0.05)
+                for c, result in enumerate(results):
+                    values = [Fraction(v) for v in pooled[:, c]]
+                    total = sum(values)
+
+                    def stat(subset):
+                        in_a = sum(values[i] for i in subset)
+                        return abs(in_a / n_a - (total - in_a) / (n - n_a))
+
+                    observed = stat(range(n_a))
+                    stats = [stat(combo) for combo in itertools.combinations(range(n), n_a)]
+                    if any(0 < abs(s - observed) < 1e-6 for s in stats):
+                        continue
+                    checked += 1
+                    assert result.exact
+                    assert result.p_value == sum(s >= observed for s in stats) / len(stats)
+        assert checked >= 200
 
     @pytest.mark.parametrize("seed", [0, 3, 11])
     def test_monte_carlo_hits_match_per_permutation_loop(self, monkeypatch, seed):
