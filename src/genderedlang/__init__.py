@@ -1,8 +1,8 @@
 """Quantifying gendered language in dependency-parsed corpora."""
 
 from .corpus import (CountTable, Gender, GenderLexicon, Number, Pair, Relation,
-                     aggregate_by_relation, aggregate_counts, bundled_lexicon_path,
-                     gender_marginals, load_gender_lexicon, parse_arcs_line)
+                     aggregate_counts, bundled_lexicon_path, gender_marginals,
+                     load_gender_lexicon, parse_arcs_line)
 from .errors import DataError, MalformedLineError, NumericalError, UsageError
 from .evaluation import (JudgmentReport, TestResult, correlate_judgments, permutation_test,
                          sense_difference_suite, sentiment_frequency, spearman, topk)

@@ -8,7 +8,6 @@ write byte-identical outputs.  Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
@@ -18,10 +17,10 @@ from . import checkpoint as ckpt
 from . import evaluation as ev
 # aggregate_counts is not called here: perfbench/test_perfbench.py checks that
 # tracing rebinds this module's name for it
-from .corpus import (GENDERS, Gender, IngestStats, Relation, aggregate_by_relation,
-                     aggregate_counts, bundled_lexicon_path, gender_marginals, iter_arcs,
-                     iter_canonical, load_canonical_table, load_gender_lexicon, read_lines,
-                     read_rows, write_canonical, write_rows)
+from .corpus import (GENDERS, Gender, IngestStats, Relation, aggregate_counts,
+                     bundled_lexicon_path, gender_marginals, load_canonical_table,
+                     load_gender_lexicon, load_tables, read_lines, read_rows, write_canonical,
+                     write_rows)
 from .pmi import PROP1_MAX_ITERATIONS, SATURATION_TOL, collapse_by_gender, pmi_table, prop1_check
 from .errors import DataError, NumericalError, UsageError
 from .lexicons import (SENTIMENTS, SenseKind, load_sense_inventory, load_sentiment_lexicon)
@@ -85,9 +84,7 @@ def cmd_ingest(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     stats = IngestStats()
-    reader = iter_arcs if args.format == "arcs" else iter_canonical
-    tables = aggregate_by_relation(
-        itertools.chain.from_iterable(reader(path, lex, stats) for path in args.input), lex)
+    tables = load_tables(args.input, lex, stats, arcs=args.format == "arcs")
     if not tables:
         raise DataError("no usable records in any input file")
 

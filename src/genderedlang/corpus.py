@@ -66,7 +66,7 @@ class GenderLexicon:
         return tuple(sorted(self.entries))
 
 
-# Lines of canonical TSV parsed as one block, which bounds the text and cells held at once.
+# Lines of an input file parsed as one block, which bounds the text and cells held at once.
 _BLOCK_LINES = 1 << 14
 
 
@@ -88,8 +88,27 @@ def _is_data(lines: list[str]) -> np.ndarray:
     """Whether each line is data: neither blank or whitespace-only nor a ``#``
     comment at column 0."""
     n = len(lines)
-    return ~(np.fromiter(map(str.isspace, lines), dtype=bool, count=n)
-             | np.fromiter(map(str.startswith, lines, itertools.repeat("#")), dtype=bool, count=n))
+    blank = np.fromiter(map(str.isspace, lines), dtype=bool, count=n)
+    if "#" not in "".join(lines):  # one scan of the block spares the per-line test
+        return ~blank
+    return ~(blank | np.fromiter(map(str.startswith, lines, itertools.repeat("#")), dtype=bool,
+                                 count=n))
+
+
+def _blocks(path: str | Path) -> Iterator[tuple[int, list[str], list[str], list[str]]]:
+    """Per block of `_BLOCK_LINES` lines of a UTF-8 text file (see `_text`): the
+    number of data lines (see `_is_data`), the data lines of 4 tab-separated
+    fields, the other data lines, and the cells of the 4-field rows, 4 per row."""
+    with _text(path) as fh:
+        while lines := list(itertools.islice(fh, _BLOCK_LINES)):
+            data = _is_data(lines)
+            four = data & (np.fromiter(map(str.count, lines, itertools.repeat("\t")),
+                                       dtype=np.intp, count=len(lines)) == 3)
+            rows = list(itertools.compress(lines, four.tolist()))
+            others = list(itertools.compress(lines, (data & ~four).tolist()))
+            # each row ends in its break but perhaps the file's last, so it gives 4 cells
+            yield (int(np.count_nonzero(data)), rows, others,
+                   "".join(rows).replace("\n", "\t").split("\t"))
 
 
 def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
@@ -188,8 +207,9 @@ def parse_arcs_line(line: str) -> list[Pair]:
     amod arcs attach the labeled modifier to its head noun; nsubj/dobj arcs
     attach the labeled noun to its head verb.  Arcs with other labels are
     dropped silently; nouns are not checked against any lexicon.
-    Structural problems raise MalformedLineError so bulk readers can skip
-    the line and keep a counter.
+    Structural problems, and an accepted arc with an empty neighbor word,
+    raise MalformedLineError so bulk readers can skip the line and keep a
+    counter.
     """
     fields = line.split("\t")
     if len(fields) < 3:
@@ -213,6 +233,8 @@ def parse_arcs_line(line: str) -> list[Pair]:
             form, neighbor = head_word, word
         else:
             form, neighbor = word, head_word
+        if not neighbor:
+            raise MalformedLineError(f"{relation.value} arc with an empty neighbor word")
         out.append(Pair(form.lower(), neighbor.lower(), relation, total))
     return out
 
@@ -237,8 +259,8 @@ def iter_arcs(path: str | Path, lex: GenderLexicon, stats: IngestStats | None = 
 
 
 class _Column:
-    """The distinct raw tokens of one canonical column, numbered in first-seen
-    order, each normalized once; a token normalized to None is unusable."""
+    """The distinct raw tokens of one column, numbered in first-seen order,
+    each normalized once; a token normalized to None is unusable."""
 
     def __init__(self, normalize: Callable[[str], object]):
         self.normalize = normalize
@@ -271,7 +293,8 @@ def _count(token: str) -> int | None:
 
 def _canonical_columns(lex: GenderLexicon) -> tuple[_Column, _Column, _Column, _Column]:
     """Empty relation, form, neighbor and count columns: a relation is one of
-    Relation, a form is in `lex`, a count is a non-negative int."""
+    Relation, a form is in `lex`, a neighbor is not empty, a count is a
+    non-negative int."""
     entries = lex.entries
 
     def form(token: str) -> str | None:
@@ -279,7 +302,7 @@ def _canonical_columns(lex: GenderLexicon) -> tuple[_Column, _Column, _Column, _
         return token if token in entries else None
 
     return (_Column(lambda token: _ACCEPTED_LABELS.get(token.strip().lower())), _Column(form),
-            _Column(lambda token: token.strip().lower()), _Column(_count))
+            _Column(lambda token: token.strip().lower() or None), _Column(_count))
 
 
 def _canonical_blocks(path: str | Path, columns: tuple[_Column, ...],
@@ -288,26 +311,112 @@ def _canonical_blocks(path: str | Path, columns: tuple[_Column, ...],
     count codes in `columns` of its usable records, in file order.
 
     Each block is split once into its cells; `stats` counts every data line,
-    each line without 4 fields or with an unusable relation or count as
-    malformed, and each other line whose form is not in the lexicon.
+    each line without 4 fields or with an unusable relation, neighbor or
+    count as malformed, and each other line whose form is not in the lexicon.
     """
-    with _text(path) as fh:
-        while lines := list(itertools.islice(fh, _BLOCK_LINES)):
-            data = _is_data(lines)
-            four = np.fromiter(map(str.count, lines, itertools.repeat("\t")), dtype=np.intp,
-                               count=len(lines)) == 3
-            rows = list(itertools.compress(lines, (data & four).tolist()))
-            # each row ends in its break but perhaps the file's last, so it gives 4 cells
-            cells = "".join(rows).replace("\n", "\t").split("\t")
-            codes = [column.encode(cells[i:4 * len(rows):4]) for i, column in enumerate(columns)]
-            relation, form, _neighbor, count = codes
-            well_formed = columns[0].usable()[relation] & columns[3].usable()[count]
-            known = well_formed & columns[1].usable()[form]
-            n_data, n_well_formed = int(np.count_nonzero(data)), int(np.count_nonzero(well_formed))
-            stats.lines += n_data
-            stats.malformed += n_data - n_well_formed
-            stats.unknown_forms += n_well_formed - int(np.count_nonzero(known))
-            yield tuple(c[known] for c in codes)
+    for n_data, rows, _others, cells in _blocks(path):
+        codes = [column.encode(cells[i:4 * len(rows):4]) for i, column in enumerate(columns)]
+        relation, form, neighbor, count = codes
+        well_formed = (columns[0].usable()[relation] & columns[2].usable()[neighbor]
+                       & columns[3].usable()[count])
+        known = well_formed & columns[1].usable()[form]
+        n_well_formed = int(np.count_nonzero(well_formed))
+        stats.lines += n_data
+        stats.malformed += n_data - n_well_formed
+        stats.unknown_forms += n_well_formed - int(np.count_nonzero(known))
+        yield tuple(c[known] for c in codes)
+
+
+# Kinds of a token of an n-gram split on single spaces (see `_arc_token`)
+_TOKEN_OK, _TOKEN_MALFORMED, _TOKEN_IRREGULAR = 0, 1, 2
+_RELATIONS = tuple(Relation)
+
+
+def _arc_token(token: str) -> tuple[str, int, int, int]:
+    """(word, kind, relation index in Relation order or -1, head index) of one
+    token of an n-gram split on single spaces.  The token is irregular when it
+    is empty or holds whitespace, where str.split would cut the n-gram
+    elsewhere, and malformed when `_parse_token` rejects it; the head index
+    is 0 when it is below 1 or too large to name any token."""
+    if token.split() != [token]:
+        return "", _TOKEN_IRREGULAR, -1, 0
+    try:
+        word, _pos, dep, head = _parse_token(token)
+    except MalformedLineError:
+        return "", _TOKEN_MALFORMED, -1, 0
+    relation = _ACCEPTED_LABELS.get(dep.lower())
+    return (word, _TOKEN_OK, -1 if relation is None else _RELATIONS.index(relation),
+            head if 0 < head < 1 << 62 else 0)
+
+
+def _arcs_blocks(path: str | Path, columns: tuple[_Column, ...],
+                 stats: IngestStats) -> Iterator[tuple[np.ndarray, ...]]:
+    """Per block of lines of an arcs file: the relation, form, neighbor and
+    count codes in `columns` (see `_canonical_columns`) of the amod, nsubj and
+    dobj arcs whose form is in the lexicon, on the lines `parse_arcs_line`
+    accepts.
+
+    A line of 4 fields whose n-gram splits on single spaces into non-empty,
+    whitespace-free tokens is read from the block's cells: each distinct
+    token is parsed once and each head is found by indexing.  Every other
+    data line goes through `parse_arcs_line`.  `stats` counts every data
+    line, each line `parse_arcs_line` rejects as malformed, and each arc of
+    the other lines whose form is not in the lexicon.
+    """
+    rel_col, form_col, neighbor_col, count_col = columns
+    relation_codes = rel_col.encode([relation.value for relation in Relation])
+    tokens = _Column(_arc_token)
+    # per token code: kind, relation index, head index, and the form and neighbor codes of its word
+    table = np.empty((0, 5), dtype=np.intp)
+    for n_data, rows, others, cells in _blocks(path):
+        n = len(rows)
+        ngrams, count = cells[1:4 * n:4], count_col.encode(cells[2:4 * n:4])
+        length = np.fromiter(map(str.count, ngrams, itertools.repeat(" ")), dtype=np.intp,
+                             count=n) + 1
+        tok = tokens.encode(" ".join(ngrams).split(" ") if n else [])
+        if len(tokens.values) > len(table):
+            new = tokens.values[len(table):]
+            words = [word for word, *_ in new]
+            table = np.concatenate([table, np.column_stack([
+                np.array([parsed for _, *parsed in new], dtype=np.intp),
+                form_col.encode(words), neighbor_col.encode(words)])])
+        kind, relation, head, form_of, neighbor_of = table[tok].T
+        row = np.repeat(np.arange(n), length)
+        irregular = np.bincount(row[kind == _TOKEN_IRREGULAR], minlength=n) > 0
+
+        arc = np.flatnonzero(relation >= 0)  # tokens of an accepted label
+        arc_row, arc_head = row[arc], head[arc]
+        in_range = (arc_head > 0) & (arc_head <= length[arc_row])
+        at = np.where(in_range, (np.cumsum(length) - length)[arc_row] + arc_head - 1, arc)
+        amod = relation[arc] == _RELATIONS.index(Relation.AMOD)
+        form = form_of[np.where(amod, at, arc)]
+        neighbor = neighbor_of[np.where(amod, arc, at)]
+        bad_arc = ~in_range | ~neighbor_col.usable()[neighbor]
+        malformed = ~count_col.usable()[count] | (np.bincount(
+            np.concatenate([row[kind == _TOKEN_MALFORMED], arc_row[bad_arc]]), minlength=n) > 0)
+        well_formed = (~irregular & ~malformed)[arc_row]
+        known = well_formed & form_col.usable()[form]
+        stats.lines += n_data
+        stats.malformed += int(np.count_nonzero(~irregular & malformed))
+        stats.unknown_forms += int(np.count_nonzero(well_formed) - np.count_nonzero(known))
+        parts = [(relation_codes[relation[arc[known]]], form[known], neighbor[known],
+                  count[arc_row[known]])]
+
+        pairs: list[Pair] = []
+        for line in itertools.chain(others, itertools.compress(rows, irregular.tolist())):
+            try:
+                pairs.extend(parse_arcs_line(line.rstrip("\n")))
+            except MalformedLineError:
+                stats.malformed += 1
+        if pairs:
+            forms, neighbors, relations, counts = map(list, zip(*pairs))
+            form = form_col.encode(forms)
+            known = form_col.usable()[form]
+            stats.unknown_forms += len(pairs) - int(np.count_nonzero(known))
+            parts.append((rel_col.encode([r.value for r in relations])[known], form[known],
+                          neighbor_col.encode(neighbors)[known],
+                          count_col.encode(list(map(str, counts)))[known]))
+        yield tuple(map(np.concatenate, zip(*parts)))
 
 
 def iter_canonical(path: str | Path, lex: GenderLexicon, stats: IngestStats | None = None) -> Iterator[Pair]:
@@ -380,8 +489,31 @@ def _build_table(relation: Relation, vocab: tuple[str, ...], rows, forms: tuple[
     return CountTable(relation=relation, matrix=matrix, vocab=vocab, forms=forms)
 
 
-def _cells_table(relation: Relation, cells: dict[tuple[str, str], int]) -> CountTable:
-    """The table of summed (neighbor, form) -> count cells."""
+def aggregate_counts(records: Iterable[Pair], relation: Relation, lex: GenderLexicon) -> CountTable:
+    """Sum records for one relation into a CountTable.
+
+    Result is independent of record order; zero-count records are ignored,
+    and a negative or non-integer count, a form missing from the lexicon and
+    a relation that is not a Relation are each a DataError.  Raises DataError
+    when no usable record survives.
+    """
+    entries = lex.entries
+    cells: dict[tuple[str, str], int] = {}
+    for form, neighbor, rel, count in records:
+        if rel is not relation:
+            if not isinstance(rel, Relation):
+                raise DataError(f"unknown relation {rel!r}")
+            continue
+        if count <= 0:
+            if count < 0:
+                raise DataError(f"negative count {count} for noun form {form!r}")
+            continue
+        if form not in entries:
+            raise DataError(f"noun form {form!r} not in gender lexicon")
+        key = (neighbor, form)
+        cells[key] = cells.get(key, 0) + count
+    if not cells:
+        raise DataError(f"empty table: no usable records for relation {relation.value!r}")
     vocab = tuple(sorted({neighbor for neighbor, _ in cells}))
     forms = tuple(sorted({form for _, form in cells}))
     v_idx = {v: i for i, v in enumerate(vocab)}
@@ -390,76 +522,51 @@ def _cells_table(relation: Relation, cells: dict[tuple[str, str], int]) -> Count
                         [f_idx[f] for _, f in cells], list(cells.values()), sum(cells.values()))
 
 
-def _sum_cells(records: Iterable[Pair], lex: GenderLexicon,
-               only: Relation | None = None) -> dict[Relation, dict[tuple[str, str], int]]:
-    """Per relation, (neighbor, form) -> summed count of the records (of relation `only`, if given)."""
-    entries = lex.entries
-    cells: dict[Relation, dict[tuple[str, str], int]] = {rel: {} for rel in Relation}
-    for form, neighbor, rel, count in records:
-        if only is not None and rel is not only:
-            continue
-        if count <= 0:
-            if count < 0:
-                raise DataError(f"negative count {count} for noun form {form!r}")
-            continue
-        if form not in entries:
-            raise DataError(f"noun form {form!r} not in gender lexicon")
-        try:
-            sums = cells[rel]
-        except KeyError:
-            raise DataError(f"unknown relation {rel!r}") from None
-        key = (neighbor, form)
-        sums[key] = sums.get(key, 0) + count
-    return cells
+def load_tables(paths: Iterable[str | Path], lex: GenderLexicon, stats: IngestStats,
+                arcs: bool = False,
+                relations: Iterable[Relation] = _RELATIONS) -> dict[Relation, CountTable]:
+    """The CountTable of each of `relations` with a usable record in canonical
+    TSV files (arcs files, if `arcs`), in Relation order, summed from the code
+    columns of the records: no Pair is built.
 
-
-def aggregate_by_relation(records: Iterable[Pair],
-                          lex: GenderLexicon) -> dict[Relation, CountTable]:
-    """Sum a record stream into one CountTable per relation, in a single pass.
-
-    Result is independent of record order; zero-count records are ignored,
-    a negative or non-integer count is a DataError, and a relation with no
-    usable record is absent.  Tables come in Relation order.
+    Each table is ``aggregate_counts`` of the records `iter_canonical` (or
+    `iter_arcs`) yields, and a relation whose records all count 0 is absent.
+    `stats` counts the lines of every file as those readers do.
     """
-    return {rel: _cells_table(rel, cells)
-            for rel, cells in _sum_cells(records, lex).items() if cells}
-
-
-def aggregate_counts(records: Iterable[Pair], relation: Relation, lex: GenderLexicon) -> CountTable:
-    """Sum records for one relation into a CountTable.
-
-    Result is independent of record order; zero-count records are ignored,
-    and a negative or non-integer count is a DataError.  Raises DataError
-    when no usable record survives.
-    """
-    cells = _sum_cells(records, lex, relation)[relation]
-    if not cells:
-        raise DataError(f"empty table: no usable records for relation {relation.value!r}")
-    return _cells_table(relation, cells)
+    columns = _canonical_columns(lex)
+    rel_col, form_col, neighbor_col, count_col = columns
+    relations = set(relations)
+    blocks = _arcs_blocks if arcs else _canonical_blocks
+    picked = [(np.empty(0, dtype=np.intp),) * 4]
+    for block in itertools.chain.from_iterable(blocks(path, columns, stats) for path in paths):
+        ours = np.array([value in relations for value in rel_col.values], dtype=bool)[block[0]]
+        picked.append(tuple(codes[ours] for codes in block))
+    rel, form, neighbor, count = map(np.concatenate, zip(*picked))
+    values = count_col.values
+    # every count that fits, so each positive one reads positive; the totals are exact
+    clipped = np.array([min(value or 0, 2 ** 63 - 1) for value in values], dtype=np.int64)
+    keep = clipped[count] > 0
+    tables: dict[Relation, CountTable] = {}
+    for relation in (r for r in _RELATIONS if r in relations):
+        ours = keep & np.array([value is relation for value in rel_col.values], dtype=bool)[rel]
+        if not ours.any():
+            continue
+        uses = np.bincount(count[ours], minlength=len(values)).tolist()
+        total = sum(value * n for value, n in zip(values, uses) if n)
+        vocab, rows = _sorted_names(neighbor[ours], neighbor_col.values)
+        forms, cols = _sorted_names(form[ours], form_col.values)
+        tables[relation] = _build_table(relation, vocab, rows, forms, cols, clipped[count[ours]],
+                                        total)
+    return tables
 
 
 def load_canonical_table(path: str | Path, relation: Relation, lex: GenderLexicon) -> CountTable:
-    """``aggregate_counts(iter_canonical(path, lex), relation, lex)``, summed from
-    the code columns of the records: no Pair is built."""
-    columns = _canonical_columns(lex)
-    rel_col, form_col, neighbor_col, count_col = columns
-    picked = [(np.empty(0, dtype=np.intp),) * 3]
-    for rel, form, neighbor, count in _canonical_blocks(path, columns, IngestStats()):
-        ours = np.array([value is relation for value in rel_col.values], dtype=bool)[rel]
-        picked.append((neighbor[ours], form[ours], count[ours]))
-    neighbor, form, count = map(np.concatenate, zip(*picked))
-    values = count_col.values
-    # every count that fits, so each positive one reads positive; the total is exact
-    clipped = np.array([min(value or 0, 2 ** 63 - 1) for value in values], dtype=np.int64)
-    keep = clipped[count] > 0
-    neighbor, form, count = neighbor[keep], form[keep], count[keep]
-    if not len(count):
+    """``aggregate_counts(iter_canonical(path, lex), relation, lex)``: the one
+    table of `load_tables`."""
+    table = load_tables([path], lex, IngestStats(), relations=[relation]).get(relation)
+    if table is None:
         raise DataError(f"empty table: no usable records for relation {relation.value!r}")
-    uses = np.bincount(count, minlength=len(values)).tolist()
-    total = sum(value * n for value, n in zip(values, uses) if n)
-    vocab, rows = _sorted_names(neighbor, neighbor_col.values)
-    forms, cols = _sorted_names(form, form_col.values)
-    return _build_table(relation, vocab, rows, forms, cols, clipped[count], total)
+    return table
 
 
 def _sorted_names(codes: np.ndarray, names: list) -> tuple[tuple[str, ...], np.ndarray]:

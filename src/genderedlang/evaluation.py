@@ -215,7 +215,9 @@ def sense_difference_suite(params: ModelParams, space: FeatureSpace,
     Each sentiment's tests are Bonferroni-corrected across the sense set;
     when the full model is used a pooled variant over all sentiments is
     appended with label "all".  A family's tests share one permutation
-    stream drawn from `seed`; Bonferroni is unchanged.
+    stream drawn from `seed`; Bonferroni is unchanged.  Families with equal
+    group sizes draw the same stream, so their columns are tested together
+    in one call.
     """
     families = [(sentiment_label(s), (s,)) for s in params.sentiments]
     if len(params.sentiments) > 1:
@@ -226,14 +228,18 @@ def sense_difference_suite(params: ModelParams, space: FeatureSpace,
         dist = inventory.get(word)
         return None if dist is None else [dist.get(sense, 0.0) for sense in senses]
 
-    corrected = alpha / len(senses)
-    rows: list[SenseTestRow] = []
-    for label, sentiments in families:
-        masc, fem = (_topk_rows(params, space, g, sentiments, k, weights) for g in GENDERS)
-        results = _permutation_tests(masc, fem, permutations, seed, corrected)
-        rows.extend(SenseTestRow(sentiment=label, sense=sense, result=result)
-                    for sense, result in zip(senses, results))
-    return rows
+    groups = [[_topk_rows(params, space, g, sentiments, k, weights) for g in GENDERS]
+              for _label, sentiments in families]
+    results: dict[int, list[TestResult]] = {}
+    for shape in dict.fromkeys((len(masc), len(fem)) for masc, fem in groups):
+        members = [i for i, (masc, fem) in enumerate(groups) if (len(masc), len(fem)) == shape]
+        masc, fem = (np.concatenate([groups[i][g] for i in members], axis=1) for g in (0, 1))
+        tested = _permutation_tests(masc, fem, permutations, seed, alpha / len(senses))
+        for j, i in enumerate(members):
+            results[i] = tested[j * len(senses):(j + 1) * len(senses)]
+    return [SenseTestRow(sentiment=label, sense=sense, result=result)
+            for i, (label, _sentiments) in enumerate(families)
+            for sense, result in zip(senses, results[i])]
 
 
 def sentiment_frequency(params: ModelParams, space: FeatureSpace, prior: SentimentPrior,

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from genderedlang import corpus
 from genderedlang.corpus import (GENDERS, Gender, IngestStats, Number, Pair, Relation,
-                                 aggregate_by_relation, aggregate_counts, gender_marginals,
-                                 gender_onehot, iter_arcs, iter_canonical, load_canonical_table,
-                                 load_gender_lexicon, parse_arcs_line, read_lines,
-                                 write_canonical, write_rows)
+                                 aggregate_counts, gender_marginals, gender_onehot, iter_arcs,
+                                 iter_canonical, load_canonical_table, load_gender_lexicon,
+                                 load_tables, parse_arcs_line, read_lines, write_canonical,
+                                 write_rows)
 from genderedlang.errors import DataError, MalformedLineError
 from genderedlang.pmi import collapse_by_gender
 
@@ -166,6 +166,26 @@ class TestParseArcs:
         with pytest.raises(MalformedLineError):
             parse_arcs_line("girl\tyoung/JJ/amod/2 girl/NN/ROOT/0\toops\t1996,1")
 
+    @pytest.mark.parametrize("line", [
+        "woman\t/JJ/amod/2 woman/NN/ROOT/0\t5\t2000,5",
+        "laughed\twoman/NN/nsubj/2 /VBD/ROOT/0\t5\t2000,5",
+        "table\tpretty/JJ/amod/2 table/NN/ROOT/0 /JJ/amod/2\t5\t2000,5",
+    ], ids=["amod_modifier", "nsubj_verb", "beside_a_good_arc"])
+    def test_empty_neighbor_word_malformed(self, lexicon, line):
+        with pytest.raises(MalformedLineError, match="empty neighbor"):
+            parse_arcs_line(line)
+
+    def test_empty_noun_is_an_unknown_form(self, lexicon, tmp_path):
+        line = "laughed\t/NN/nsubj/2 laughed/VBD/ROOT/0\t5\t2000,5"
+        assert parse_arcs_line(line) == [Pair("", "laughed", Relation.NSUBJ, 5)]
+        path = tmp_path / "empty_noun.arcs"
+        path.write_text(line + "\n", encoding="utf-8")
+        stats = IngestStats()
+        assert list(iter_arcs(path, lexicon, stats)) == []
+        assert stats == IngestStats(lines=1, malformed=0, unknown_forms=1)
+        assert load_tables([path], lexicon, stats, arcs=True) == {}
+        assert stats == IngestStats(lines=2, malformed=0, unknown_forms=2)
+
     def test_every_injected_malformed_kind_raises(self, lexicon, monkeypatch):
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
         import workloads
@@ -203,14 +223,15 @@ def _reference_canonical(path, lex):
         except ValueError:
             stats.malformed += 1
             continue
-        if count < 0:
+        neighbor = neighbor.strip().lower()
+        if count < 0 or not neighbor:
             stats.malformed += 1
             continue
         form = form.strip().lower()
         if form not in lex.entries:
             stats.unknown_forms += 1
             continue
-        pairs.append(Pair(form, neighbor.strip().lower(), relation, count))
+        pairs.append(Pair(form, neighbor, relation, count))
     return pairs, stats
 
 
@@ -240,6 +261,15 @@ class TestCanonicalReader:
         stats = IngestStats()
         assert list(iter_canonical(path, lexicon, stats)) == [Pair("woman", "tall", Relation.AMOD, 3)]
         assert stats == IngestStats(lines=5, malformed=3, unknown_forms=1)
+
+    def test_empty_neighbor_is_malformed(self, lexicon, tmp_path):
+        path = tmp_path / "c.tsv"
+        path.write_text("amod\twoman\t \t5\namod\twoman\t\t5\namod\ttable\t\u3000\t5\n"
+                        "amod\twoman\ttall\t5\n", encoding="utf-8")
+        stats = IngestStats()
+        assert list(iter_canonical(path, lexicon, stats)) == [Pair("woman", "tall", Relation.AMOD, 5)]
+        assert stats == IngestStats(lines=4, malformed=3, unknown_forms=0)
+        assert load_canonical_table(path, Relation.AMOD, lexicon).vocab == ("tall",)
 
     def test_leading_byte_order_mark_is_dropped(self, lexicon, tmp_path):
         path = tmp_path / "c.tsv"
@@ -305,10 +335,100 @@ def _assert_same_table(path, relation, lexicon):
             load_canonical_table(path, relation, lexicon)
         assert str(got.value) == str(err)
         return
-    table = load_canonical_table(path, relation, lexicon)
+    _assert_tables_equal(load_canonical_table(path, relation, lexicon), want)
+
+
+def _assert_tables_equal(table, want):
     assert (table.relation, table.vocab, table.forms) == (want.relation, want.vocab, want.forms)
     assert table.matrix.dtype == np.int64 and np.array_equal(table.matrix, want.matrix)
     assert table.fingerprint() == want.fingerprint()
+
+
+_WELL_FORMED_TOKEN = st.builds(
+    "{}/{}/{}/{}".format,
+    st.sampled_from(["woman", "Woman", "QUEEN", "kings", "table", "pretty", "Tall", "ran", "a/b",
+                     "", ""]),
+    st.sampled_from(["NN", "JJ", "VBD"]),
+    st.sampled_from(["amod", "nsubj", "dobj", "Dobj", "ROOT", "prep"]),
+    st.sampled_from(["1", "2", "1", "2", "3", "0", "+2", "02", "-1", "x", "\u0662", "9" * 20]))
+# one token in ten does not split into word/POS/deplabel/head-index
+_ARC_TOKEN = st.sampled_from([False] * 9 + [True]).flatmap(
+    lambda bad: st.sampled_from(["pretty/JJ/amod", "x", "/"]) if bad else _WELL_FORMED_TOKEN)
+_NGRAM = st.tuples(st.lists(_ARC_TOKEN, min_size=1, max_size=4),
+                   st.sampled_from([" ", " ", " ", " ", "  ", "\xa0", "\u3000", "\x1c"]),
+                   st.sampled_from(["", "", "", " "]), st.sampled_from(["", "", "", " "]),
+                   ).map(lambda g: g[2] + g[1].join(g[0]) + g[3])
+_ARCS_ROW = st.tuples(
+    st.sampled_from(["woman", "Queen", "ran", ""]), _NGRAM,
+    st.one_of(st.sampled_from(["5", "0", "+4", "1_000", "-3", "x", "", " 7", str(2 ** 62),
+                               str(2 ** 63), str(2 ** 64)]),
+              st.integers(min_value=0, max_value=50).map(str)),
+    st.sampled_from([4, 4, 4, 4, 3, 5, 2]),
+).map(lambda row: "\t".join([*row[:3], "1999,5", "extra"][:row[3]]))
+_ARCS_LINE = st.one_of(
+    _ARCS_ROW,
+    st.sampled_from(["woman\tpretty/JJ/amod/2 woman/NN/ROOT/0\t42\t1999,2 2000,40",
+                     "laughed\tWoman/NN/nsubj/2 laughed/VBD/ROOT/0\t17\t1990,17",
+                     "praised\tqueen/NN/dobj/2 Praised/VBD/ROOT/0\t8\t1992,8",
+                     "loved\twoman/NN/nsubj/3 pretty/JJ/amod/1 loved/VBD/ROOT/0\t6\t1997,6",
+                     "Kings\tbrave/JJ/amod/2 Kings/NNS/ROOT/0\t3\t1990,3",
+                     "table\told/JJ/amod/2 table/NN/ROOT/0\t99\t1993,99",
+                     "", "   ", "\t", "# woman\tpretty/JJ/amod/2 woman/NN/ROOT/0\t3\t1999,3", " # x"]),
+    st.integers(min_value=0, max_value=5))  # an index into perfbench's MALFORMED_KINDS
+
+
+class TestArcsBlocks:
+    @given(st.lists(st.tuples(_ARCS_LINE, st.booleans()), min_size=4, max_size=25),
+           st.integers(min_value=0, max_value=25))
+    @settings(max_examples=200, deadline=None)
+    def test_blocks_of_three_lines_match_the_reference(self, lexicon, tmp_path_factory, lines,
+                                                       split):
+        """Split into blocks of 3 lines, the arcs tables of two files loaded in one
+        call are iter_arcs then aggregate_counts per relation (or the same
+        DataError), and the stats are the same."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+            import workloads
+
+            texts = [(workloads._malformed_line(workloads.MALFORMED_KINDS[line], "woman", "pretty")
+                      if isinstance(line, int) else line) + ("\r\n" if crlf else "\n")
+                     for line, crlf in lines]
+            directory = tmp_path_factory.mktemp("arcs")
+            paths = [directory / "a.arcs", directory / "b.arcs"]
+            for path, part in zip(paths, (texts[:split], texts[split:])):
+                path.write_text("".join(part), encoding="utf-8", newline="")
+            want_stats = IngestStats()
+            pairs = [pair for path in paths for pair in iter_arcs(path, lexicon, want_stats)]
+            want: dict = {}
+            for relation in Relation:
+                try:
+                    want[relation] = aggregate_counts(pairs, relation, lexicon)
+                except DataError as err:
+                    want[relation] = str(err)
+
+            patch.setattr(corpus, "_BLOCK_LINES", 3)
+            for relation in Relation:
+                stats = IngestStats()
+                if isinstance(want[relation], str):
+                    if "empty table" in want[relation]:
+                        assert load_tables(paths, lexicon, stats, True, [relation]) == {}
+                    else:
+                        with pytest.raises(DataError) as got:
+                            load_tables(paths, lexicon, stats, True, [relation])
+                        assert str(got.value) == want[relation]
+                else:
+                    (table,) = load_tables(paths, lexicon, stats, True, [relation]).values()
+                    _assert_tables_equal(table, want[relation])
+                assert stats == want_stats
+            stats = IngestStats()
+            overflows = [w for w in want.values() if isinstance(w, str) and "empty" not in w]
+            if overflows:
+                with pytest.raises(DataError, match=overflows[0]):
+                    load_tables(paths, lexicon, stats, arcs=True)
+            else:
+                tables = load_tables(paths, lexicon, stats, arcs=True)
+                assert list(tables) == [r for r in Relation if not isinstance(want[r], str)]
+                assert stats == want_stats
 
 
 class TestAggregate:
@@ -343,9 +463,16 @@ class TestAggregate:
                               st.integers(min_value=0, max_value=50)),
                     max_size=40))
     @settings(max_examples=50, deadline=None)
-    def test_one_pass_equals_per_relation_aggregation(self, lexicon, records):
+    def test_one_pass_equals_per_relation_aggregation(self, lexicon, tmp_path_factory, records):
+        """The records written as canonical lines load, in one pass, as the table
+        aggregate_counts gives for each relation."""
         pairs = [Pair(f, n, r, c) for r, f, n, c in records]
-        tables = aggregate_by_relation(iter(pairs), lexicon)
+        path = tmp_path_factory.mktemp("canonical") / "records.tsv"
+        path.write_text("".join(f"{r.value}\t{f}\t{n}\t{c}\n" for f, n, r, c in pairs),
+                        encoding="utf-8")
+        stats = IngestStats()
+        tables = load_tables([path], lexicon, stats)
+        assert stats == IngestStats(lines=len(pairs), malformed=0, unknown_forms=0)
         assert list(tables) == [r for r in Relation if r in tables]
         for relation in Relation:
             expected = Counter()
@@ -418,12 +545,11 @@ class TestAggregate:
         pairs = [Pair(f, n, Relation.AMOD, c) for f, n, c in records]
         with pytest.raises(DataError, match=match):
             aggregate_counts(pairs, Relation.AMOD, lexicon)
-        with pytest.raises(DataError, match=match):
-            aggregate_by_relation(pairs, lexicon)
 
     def test_unknown_relation_rejected(self, lexicon):
+        pairs = [Pair("man", "tall", Relation.AMOD, 2), Pair("man", "of", "prep", 3)]
         with pytest.raises(DataError, match="unknown relation 'prep'"):
-            aggregate_by_relation([Pair("man", "of", "prep", 2)], lexicon)
+            aggregate_counts(pairs, Relation.AMOD, lexicon)
 
     def test_total_beyond_int64_rejected(self, lexicon):
         pairs = [Pair("woman", "a", Relation.AMOD, 2 ** 62), Pair("man", "b", Relation.AMOD, 2 ** 62)]

@@ -429,6 +429,45 @@ class TestSenseSuite:
             assert row.result == want  # every field, floats bit for bit
         assert {r.result.exact for r in rows} == {k == 4}
 
+    @pytest.mark.parametrize("drop", [False, True], ids=["pos_neg_neu_share", "every_shape_once"])
+    @pytest.mark.parametrize("k", [4, 20])
+    def test_equal_shapes_share_one_call(self, lexicon, space, monkeypatch, k, drop):
+        """The suite's rows are the per-family _permutation_tests results, and each
+        distinct (n_masc, n_fem) draws one stream (k=4 exact, k=20 Monte Carlo);
+        without masc09 in the inventory the pos family's masc group is short."""
+        params, inv = self.build(lexicon, space)
+        if drop:
+            inv = SenseInventory(kind=inv.kind, weights={w: d for w, d in inv.weights.items()
+                                                         if w != "masc09"})
+        senses = inv.kind.senses
+
+        def weights(word):
+            dist = inv.get(word)
+            return None if dist is None else [dist.get(sense, 0.0) for sense in senses]
+
+        want, shapes = [], []
+        for label, sentiments in [("pos", [POS]), ("neg", [NEG]), ("neu", [NEU]),
+                                  ("all", SENTIMENTS)]:
+            masc, fem = (evaluation._topk_rows(params, space, g, sentiments, k, weights)
+                         for g in (Gender.MASC, Gender.FEM))
+            shapes.append((len(masc), len(fem)))
+            results = evaluation._permutation_tests(masc, fem, 301, 7, 0.05 / len(senses))
+            want.extend((label, sense, result) for sense, result in zip(senses, results))
+        distinct = list(dict.fromkeys(shapes))
+        assert len(distinct) == (3 if drop else 2)
+
+        calls, streams = [], []
+        tests, shuffles = evaluation._permutation_tests, evaluation._shuffles
+        monkeypatch.setattr(evaluation, "_permutation_tests",
+                            lambda a, b, *rest: calls.append((len(a), len(b))) or tests(a, b, *rest))
+        monkeypatch.setattr(evaluation, "_shuffles",
+                            lambda *args: streams.append(args) or shuffles(*args))
+        rows = sense_difference_suite(params, space, inv, k=k, permutations=301, seed=7)
+        assert [(r.sentiment, r.sense, r.result) for r in rows] == want
+        assert calls == distinct
+        assert len(streams) == (0 if k == 4 else len(distinct))
+        assert {r.result.exact for r in rows} == {k == 4}
+
 
 class TestSentimentFrequency:
     def test_degenerate_prior(self, lexicon, space):
