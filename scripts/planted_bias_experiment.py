@@ -18,7 +18,7 @@ from genderedlang.corpus import Relation, aggregate_counts, bundled_lexicon_path
 from genderedlang.evaluation import sense_difference_suite
 from genderedlang.lexicons import SenseKind, load_sense_inventory, load_sentiment_lexicon
 from genderedlang.model import FeatureSpace, TrainConfig, grid_train_average
-from genderedlang.synth import SynthConfig, generate, write_synth
+from genderedlang.synth import SynthConfig, generate, write_lexicons
 
 
 def detect(lex, space, seed, effect, args):
@@ -26,7 +26,7 @@ def detect(lex, space, seed, effect, args):
                                 n_pairs=args.n_pairs, planted_body_fem=effect), lex)
     table = aggregate_counts(data.pairs, Relation.AMOD, lex)
     with tempfile.TemporaryDirectory() as tmp:
-        paths = write_synth(tmp, data, lex)
+        paths = write_lexicons(tmp, data)
         prior = load_sentiment_lexicon(paths["sentiment"])
         inventory = load_sense_inventory(paths["senses"], SenseKind.ADJ)
     grid = grid_train_average(table, space, prior, [0.0, 1e-3], [0.1, 1.0],

@@ -1,13 +1,20 @@
 """Checkpoint serialization: a self-describing JSON document.
 
-Floats are emitted through Python's shortest round-trip repr, so numeric
-state survives save/load bitwise; the byte stream itself is deterministic
-(sorted keys, fixed separators), so identical runs give identical files.
+A v2 checkpoint stores each parameter array (m, eta, omega, xi) as one
+string: the standard padded base64 of its little-endian float64 values in C
+order, with eta dense and its shape in eta_shape.  So numeric state survives
+save/load bitwise (-0.0 and subnormals included), and a save or load costs a
+pass over the bytes, not a Python object per entry.  The byte stream is
+deterministic (sorted keys, fixed separators), so identical runs give
+identical files.  v1 checkpoints, which stored the arrays as JSON numbers
+and eta as one [v, s, t, value] list per nonzero entry, still load.
 """
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -17,7 +24,8 @@ from .corpus import Gender, GenderLexicon, LexiconEntry, Number, Relation
 from .errors import DataError
 from .model import FeatureSpace, ModelParams, TrainConfig
 
-FORMAT = "genderedlang-checkpoint-v1"
+FORMAT = "genderedlang-checkpoint-v2"
+_V1 = "genderedlang-checkpoint-v1"
 
 # Settings that older v1 checkpoints carry in "config" and nothing reads any
 # more: the former Adam optimizer's and the training seed.  Loading accepts
@@ -35,10 +43,9 @@ class Checkpoint:
     relation: str
 
 
-def _eta_triplets(eta: np.ndarray) -> list[list]:
-    """[v, s, t, value] for every nonzero entry of eta, in C order."""
-    nonzero = np.nonzero(eta)
-    return [list(row) for row in zip(*(axis.tolist() for axis in nonzero), eta[nonzero].tolist())]
+def _encode(array: np.ndarray) -> str:
+    """Base64 of the array's little-endian float64 values in C order."""
+    return base64.b64encode(np.asarray(array, dtype="<f8").tobytes()).decode("ascii")
 
 
 def _space_payload(space: FeatureSpace) -> dict:
@@ -67,11 +74,11 @@ def save_checkpoint(path: str | Path, params: ModelParams, space: FeatureSpace,
         "space": _space_payload(space),
         "vocab": list(params.vocab),
         "forms": list(params.forms),
-        "m": params.m.tolist(),
+        "m": _encode(params.m),
         "eta_shape": list(params.eta.shape),
-        "eta": _eta_triplets(params.eta),
-        "omega": params.omega.tolist(),
-        "xi": params.xi.tolist(),
+        "eta": _encode(params.eta),
+        "omega": _encode(params.omega),
+        "xi": _encode(params.xi),
         "extra": extra or {},
     }
     Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n",
@@ -102,8 +109,37 @@ def _float_array(name: str, values) -> np.ndarray:
     return array.astype(float)
 
 
+def _decode(name: str, text, shape: tuple[int, ...]) -> np.ndarray:
+    """A v2 array string as a native float64 array of the given shape."""
+    if not isinstance(text, str):
+        raise DataError(f"{name} is not a base64 string")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as err:  # binascii.Error, or a non-ASCII character
+        raise DataError(f"{name} is not valid base64: {err}") from None
+    if len(raw) != 8 * math.prod(shape):
+        raise DataError(f"{name} holds {len(raw)} bytes, not the {8 * math.prod(shape)} "
+                        f"of float64 shape {list(shape)}")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(float)
+
+
+def _eta_from_triplets(triplets: list, shape: tuple[int, ...]) -> np.ndarray:
+    """A v1 eta: one [v, s, t, value] list per nonzero entry."""
+    eta = np.zeros(shape)
+    for v, s, t, value in triplets:
+        if not (type(v) is type(s) is type(t) is int and type(value) in _NUMBERS):
+            raise DataError(f"eta entry {[v, s, t, value]} is not three integers and a number")
+        if not (0 <= v < shape[0] and 0 <= s < shape[1] and 0 <= t < shape[2]):
+            raise DataError(f"eta index {[v, s, t]} outside eta_shape {list(shape)}")
+        eta[v, s, t] = value
+    if len({(v, s, t) for v, s, t, _ in triplets}) < len(triplets):  # saved once each
+        raise DataError("an eta index is given more than once")
+    return eta
+
+
 def _from_doc(doc: dict) -> Checkpoint:
-    if doc.get("format") != FORMAT:
+    v2 = doc.get("format") == FORMAT
+    if not v2 and doc.get("format") != _V1:
         raise DataError(f"unrecognized checkpoint format {doc.get('format')!r}")
     names = set(doc["config"])  # nothing reads the config back, so only its key names are checked
     for problem, keys in (("unknown", names - _CONFIG_KEYS - _RETIRED),
@@ -116,21 +152,19 @@ def _from_doc(doc: dict) -> Checkpoint:
             or len(set(forms)) < len(forms) or not set(forms) <= space.form_bits.keys()):
         raise DataError("vocab and forms must be distinct strings, every form in the feature space")
     shape = tuple(doc["eta_shape"])
-    m, omega, xi = (_float_array(name, doc[name]) for name in ("m", "omega", "xi"))
+    if v2:
+        if len(shape) != 3 or not all(type(n) is int and n >= 0 for n in shape):
+            raise DataError(f"eta_shape {list(shape)} is not three non-negative integers")
+        m, omega, xi = (_decode(name, doc[name], expected) for name, expected in (
+            ("m", (len(vocab),)), ("omega", (len(forms), shape[1])), ("xi", (len(forms),))))
+    else:
+        m, omega, xi = (_float_array(name, doc[name]) for name in ("m", "omega", "xi"))
     if (len(shape) != 3 or shape[0] != len(vocab) or shape[1] not in (1, 3)
             or shape[2] != space.dim or m.shape != (len(vocab),)
             or omega.shape != (len(forms), shape[1]) or xi.shape != (len(forms),)):
         raise DataError(f"eta_shape {list(shape)} disagrees with the vocab, forms, m, omega, "
                         f"xi or feature space (dimension {space.dim})")
-    eta = np.zeros(shape)
-    for v, s, t, value in doc["eta"]:
-        if not (type(v) is type(s) is type(t) is int and type(value) in _NUMBERS):
-            raise DataError(f"eta entry {[v, s, t, value]} is not three integers and a number")
-        if not (0 <= v < shape[0] and 0 <= s < shape[1] and 0 <= t < shape[2]):
-            raise DataError(f"eta index {[v, s, t]} outside eta_shape {list(shape)}")
-        eta[v, s, t] = value
-    if len({(v, s, t) for v, s, t, _ in doc["eta"]}) < len(doc["eta"]):  # saved once each
-        raise DataError("an eta index is given more than once")
+    eta = _decode("eta", doc["eta"], shape) if v2 else _eta_from_triplets(doc["eta"], shape)
     for name, values in (("m", m), ("eta", eta), ("omega", omega), ("xi", xi)):
         if not np.isfinite(values).all():
             raise DataError(f"non-finite value in {name}")

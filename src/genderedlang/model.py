@@ -191,14 +191,18 @@ class _Kernel:
 
     def forward(self, eta: np.ndarray, omega: np.ndarray, xi: np.ndarray) -> None:
         """Fill the model's distributions at (eta, omega, xi)."""
-        np.matmul(eta, self.F.T, out=self.A)
+        n_vocab, n_sent, n_feat = self.eta_shape
+        np.matmul(eta.reshape(n_vocab * n_sent, n_feat), self.F.T,  # one gemm for U
+                  out=self.A.reshape(n_vocab * n_sent, self.A.shape[2]))
         self.A += self.m
         _softmax(self.A, axis=0)
         self.B = _softmax(np.array(omega), axis=-1).T
         self.c = _softmax(np.array(xi), axis=-1)
         np.multiply(self.A, self.B, out=self.M)
         self.M *= self.c
-        self.M.sum(axis=1, out=self.J)
+        np.copyto(self.J, self.M[:, 0])
+        for s in range(1, n_sent):
+            self.J += self.M[:, s]
         self.M.sum(axis=2, out=self.N)
         self.N.sum(axis=1, out=self.rho)
 

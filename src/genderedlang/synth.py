@@ -142,22 +142,25 @@ def generate(config: SynthConfig, lex: GenderLexicon) -> SynthData:
                      binary_judgments=binary, manifest=manifest)
 
 
-def write_synth(out_dir: str | Path, data: SynthData, lex: GenderLexicon) -> dict[str, Path]:
-    """Write all generated files; byte-identical for identical configs."""
+def write_lexicons(out_dir: str | Path, data: SynthData) -> dict[str, Path]:
+    """Write the sentiment lexicon and the sense inventory; byte-identical for identical configs."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "corpus": out / "corpus.tsv",
-        "sentiment": out / "sentiment_lexicon.tsv",
-        "senses": out / f"senses_{data.config.kind.value}.tsv",
-        "judgments": out / "judgments.tsv",
-        "binary_judgments": out / "judgments_binary.tsv",
-        "manifest": out / "manifest.json",
-    }
-    write_canonical(paths["corpus"], aggregate_counts(data.pairs, data.config.relation, lex))
+    paths = {"sentiment": out / "sentiment_lexicon.tsv",
+             "senses": out / f"senses_{data.config.kind.value}.tsv"}
     write_rows(paths["sentiment"], data.sentiment_rows)
     write_rows(paths["senses"], [(word, ",".join(f"{name}:{w!r}" for name, w in dist.items()))
                                  for word, dist in data.sense_rows])
+    return paths
+
+
+def write_synth(out_dir: str | Path, data: SynthData, lex: GenderLexicon) -> dict[str, Path]:
+    """Write all generated files; byte-identical for identical configs."""
+    out = Path(out_dir)
+    paths = write_lexicons(out, data)
+    paths.update(corpus=out / "corpus.tsv", judgments=out / "judgments.tsv",
+                 binary_judgments=out / "judgments_binary.tsv", manifest=out / "manifest.json")
+    write_canonical(paths["corpus"], aggregate_counts(data.pairs, data.config.relation, lex))
     write_rows(paths["judgments"], sorted(data.judgments.items()))
     write_rows(paths["binary_judgments"], sorted(data.binary_judgments.items()))
     paths["manifest"].write_text(json.dumps(data.manifest, sort_keys=True, indent=2) + "\n",

@@ -1,9 +1,11 @@
+import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from genderedlang.checkpoint import load_checkpoint
 from genderedlang.corpus import (Gender, GenderLexicon, LexiconEntry, Number, Pair,
                                  Relation, aggregate_counts, bundled_lexicon_path,
                                  load_gender_lexicon)
@@ -38,6 +40,28 @@ def tiny_lexicon():
 @pytest.fixture(scope="session")
 def tiny_space(tiny_lexicon):
     return FeatureSpace.from_lexicon(tiny_lexicon)
+
+
+def v1_document(path) -> dict:
+    """The v1 form of the checkpoint at path, as the former writer laid it out.
+
+    m, omega and xi are JSON numbers, and eta is one [v, s, t, value] list per
+    nonzero entry in C order; every other key is the file's own.
+    """
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    params = load_checkpoint(path).params
+    nonzero = np.nonzero(params.eta)
+    triplets = [list(row) for row in zip(*(axis.tolist() for axis in nonzero),
+                                         params.eta[nonzero].tolist())]
+    doc.update(format="genderedlang-checkpoint-v1", m=params.m.tolist(), eta=triplets,
+               omega=params.omega.tolist(), xi=params.xi.tolist())
+    return doc
+
+
+def write_document(path, doc: dict) -> None:
+    """A checkpoint document in the writer's byte layout (sorted keys, fixed separators)."""
+    Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n",
+                          encoding="utf-8")
 
 
 def forward(params, space):

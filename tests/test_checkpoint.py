@@ -1,4 +1,8 @@
+import base64
 import json
+import math
+import struct
+import sys
 
 import numpy as np
 import pytest
@@ -7,9 +11,13 @@ from genderedlang.checkpoint import load_checkpoint, save_checkpoint
 from genderedlang.errors import DataError
 from genderedlang.model import TrainConfig, init_params
 
+from conftest import v1_document, write_document
 
-def random_params(toy_table, space, seed=0):
-    params = init_params(toy_table, space)
+ARRAYS = ("m", "eta", "omega", "xi")
+
+
+def random_params(toy_table, space, seed=0, n_sentiments=3):
+    params = init_params(toy_table, space, n_sentiments=n_sentiments)
     rng = np.random.default_rng(seed)
     params.eta = rng.uniform(0, 2, params.eta.shape)
     params.eta[params.eta < 1.0] = 0.0  # sparse, like trained deviations
@@ -20,24 +28,51 @@ def random_params(toy_table, space, seed=0):
 
 class TestCheckpoint:
     def test_round_trip_is_bitwise(self, toy_table, space, tmp_path):
-        params = random_params(toy_table, space)
-        config = TrainConfig(alpha=1e-3, beta=0.5, max_iterations=7)
-        path = tmp_path / "ckpt.json"
-        save_checkpoint(path, params, space, config, toy_table.fingerprint(), "amod",
-                        extra={"iterations": 42})
-        loaded = load_checkpoint(path)
-        assert loaded.params.vocab == params.vocab
-        assert loaded.params.forms == params.forms
-        assert np.array_equal(loaded.params.m, params.m)
-        assert np.array_equal(loaded.params.eta, params.eta)
-        assert np.array_equal(loaded.params.omega, params.omega)
-        assert np.array_equal(loaded.params.xi, params.xi)
-        assert loaded.relation == "amod"
-        doc = json.loads(path.read_text())
-        assert doc["config"] == {"alpha": 1e-3, "beta": 0.5, "max_iterations": 7,
-                                 "tolerance": 1e-4, "n_sentiments": 3}
-        assert doc["fingerprint"] == toy_table.fingerprint()
-        assert doc["extra"] == {"iterations": 42}
+        for n_sentiments in (3, 1):
+            params = random_params(toy_table, space, n_sentiments=n_sentiments)
+            params.m[:3] = -0.0, 5e-324, sys.float_info.max
+            params.eta[0, 0, :2] = -0.0, 5e-324
+            params.omega[0, 0], params.xi[0] = -sys.float_info.max, -5e-324
+            beta = 0.5 if n_sentiments == 3 else 0.0
+            config = TrainConfig(alpha=1e-3, beta=beta, max_iterations=7, n_sentiments=n_sentiments)
+            path = tmp_path / f"ckpt{n_sentiments}.json"
+            save_checkpoint(path, params, space, config, toy_table.fingerprint(), "amod",
+                            extra={"iterations": 42})
+            loaded = load_checkpoint(path)
+            assert loaded.params.vocab == params.vocab
+            assert loaded.params.forms == params.forms
+            for name in ARRAYS:
+                array = getattr(loaded.params, name)
+                assert array.shape == getattr(params, name).shape
+                assert array.tobytes() == getattr(params, name).tobytes()  # -0.0 too
+                assert array.flags.writeable and array.dtype == np.float64
+            assert loaded.relation == "amod"
+            doc = json.loads(path.read_text())
+            assert doc["format"] == "genderedlang-checkpoint-v2"
+            assert doc["config"] == {"alpha": 1e-3, "beta": beta, "max_iterations": 7,
+                                     "tolerance": 1e-4, "n_sentiments": n_sentiments}
+            assert doc["fingerprint"] == toy_table.fingerprint()
+            assert doc["extra"] == {"iterations": 42}
+            assert doc["eta_shape"] == list(params.eta.shape)
+            for name in ARRAYS:
+                assert base64.b64decode(doc[name]) == getattr(params, name).astype("<f8").tobytes()
+
+    def test_v1_document_loads_to_the_v2_arrays(self, toy_table, space, tmp_path):
+        for n_sentiments in (3, 1):
+            params = random_params(toy_table, space, seed=2, n_sentiments=n_sentiments)
+            v2, v1 = tmp_path / f"v2_{n_sentiments}.json", tmp_path / f"v1_{n_sentiments}.json"
+            save_checkpoint(v2, params, space, TrainConfig(n_sentiments=n_sentiments), "fp",
+                            "nsubj", extra={"converged": True})
+            doc = v1_document(v2)
+            assert len(doc["eta"]) == np.count_nonzero(params.eta)
+            write_document(v1, doc)
+            new, old = load_checkpoint(v2), load_checkpoint(v1)
+            assert (old.params.vocab, old.params.forms) == (params.vocab, params.forms)
+            for name in ARRAYS:
+                assert getattr(old.params, name).tobytes() == getattr(params, name).tobytes()
+                assert getattr(old.params, name).tobytes() == getattr(new.params, name).tobytes()
+            assert old.relation == new.relation == "nsubj"
+            assert old.space.form_bits == new.space.form_bits
 
     def test_space_round_trips(self, toy_table, space, tmp_path):
         params = random_params(toy_table, space)
@@ -214,10 +249,73 @@ MALFORMED = {
 
 @pytest.mark.parametrize("mutate, match", MALFORMED.values(), ids=MALFORMED.keys())
 def test_malformed_checkpoint_is_a_data_error(toy_table, space, tmp_path, mutate, match):
+    """Each case edits a v1 document, the format every earlier train wrote."""
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, random_params(toy_table, space), space, TrainConfig(), "fp", "amod")
+    doc = v1_document(path)
+    path.write_text(mutate(doc) or json.dumps(doc))
+    with pytest.raises(DataError, match=match):
+        load_checkpoint(path)
+
+
+def _edit_bytes(name, edit):
+    """A mutation that applies edit to the decoded bytes of a v2 array."""
+    def mutate(doc):
+        doc[name] = base64.b64encode(edit(base64.b64decode(doc[name]))).decode("ascii")
+    return mutate
+
+
+def _set(name, value):
+    def mutate(doc):
+        doc[name] = value
+    return mutate
+
+
+def _first_char(name, char):
+    def mutate(doc):
+        doc[name] = char + doc[name][1:]
+    return mutate
+
+
+def _eta_shape_entry(index, value):
+    def mutate(doc):
+        doc["eta_shape"][index] = value(doc["eta_shape"][index])
+    return mutate
+
+
+MALFORMED_V2 = {}
+for _name in ARRAYS:
+    MALFORMED_V2.update({
+        f"{_name}_not_a_string": (_set(_name, [1.0]), f"{_name} is not a base64 string"),
+        f"{_name}_non_base64_character": (_first_char(_name, "*"), f"{_name} is not valid base64"),
+        f"{_name}_non_ascii_character": (_first_char(_name, "\u00e9"),
+                                         f"{_name} is not valid base64"),
+        f"{_name}_one_value_short": (_edit_bytes(_name, lambda raw: raw[:-8]),
+                                     f"{_name} holds .* bytes, not the"),
+        f"{_name}_nan": (_edit_bytes(_name, lambda raw: struct.pack("<d", float("nan")) + raw[8:]),
+                         f"non-finite value in {_name}"),
+        f"{_name}_inf": (_edit_bytes(_name, lambda raw: raw[:-8] + struct.pack("<d", -math.inf)),
+                         f"non-finite value in {_name}"),
+    })
+_NOT_THREE = "not three non-negative integers"
+MALFORMED_V2.update({
+    "eta_shape_vs_vocab": (_eta_shape_entry(0, lambda n: n + 1), "eta_shape .* disagrees"),
+    "eta_shape_vs_space": (_eta_shape_entry(2, lambda n: n - 1), "eta_shape .* disagrees"),
+    "eta_shape_boolean": (_eta_shape_entry(1, lambda n: True), _NOT_THREE),
+    "eta_shape_float": (_eta_shape_entry(2, float), _NOT_THREE),
+    "eta_shape_negative": (_eta_shape_entry(1, lambda n: -n), _NOT_THREE),
+    "eta_shape_two_entries": (lambda doc: doc["eta_shape"].pop(), _NOT_THREE),
+    "eta_shape_missing": (lambda doc: doc.pop("eta_shape"), "missing key 'eta_shape'"),
+})
+
+
+@pytest.mark.parametrize("mutate, match", MALFORMED_V2.values(), ids=MALFORMED_V2.keys())
+def test_malformed_v2_checkpoint_is_a_data_error(toy_table, space, tmp_path, mutate, match):
     path = tmp_path / "ckpt.json"
     save_checkpoint(path, random_params(toy_table, space), space, TrainConfig(), "fp", "amod")
     doc = json.loads(path.read_text())
-    path.write_text(mutate(doc) or json.dumps(doc))
+    mutate(doc)
+    path.write_text(json.dumps(doc))
     with pytest.raises(DataError, match=match):
         load_checkpoint(path)
 

@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 
 from genderedlang import cli, model
-from genderedlang.checkpoint import save_checkpoint
+from genderedlang.checkpoint import load_checkpoint, save_checkpoint
 from genderedlang.cli import main
 from genderedlang.corpus import (aggregate_counts, bundled_lexicon_path, load_gender_lexicon,
                                  write_rows)
 from genderedlang.lexicons import SenseKind, load_sense_inventory, load_sentiment_lexicon
 from genderedlang.synth import SynthConfig, generate, write_synth
 
-from conftest import DATA
+from conftest import DATA, v1_document, write_document
 
 
 def read_tsv(path):
@@ -199,13 +199,43 @@ def test_non_positive_or_nan_flag_is_a_usage_error(tmp_path, capsys, command, fl
     assert capsys.readouterr().err.startswith("usage error: ")
 
 
+def _resave(source: Path, path: Path, edit) -> Path:
+    """The checkpoint at source saved again to path after edit(params)."""
+    doc = json.loads(source.read_text())
+    loaded = load_checkpoint(source)
+    edit(loaded.params)
+    save_checkpoint(path, loaded.params, loaded.space, model.TrainConfig(**doc["config"]),
+                    doc["fingerprint"], loaded.relation, extra=doc["extra"])
+    return path
+
+
 def test_malformed_checkpoint_is_a_data_error(trained, tmp_path, capsys):
-    doc = json.loads((trained / "checkpoint_averaged.json").read_text())
+    doc = v1_document(trained / "checkpoint_averaged.json")
     doc["eta"][0][0] = len(doc["vocab"])
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
+    write_document(bad, doc)
     assert main(["report", "topk", "--checkpoint", str(bad), "--out", str(tmp_path / "t")]) == 2
     assert capsys.readouterr().err.startswith("data error: ")
+
+
+def test_malformed_v2_checkpoint_is_a_data_error(trained, tmp_path, capsys):
+    def extra_eta_row(params):
+        params.eta = np.concatenate([params.eta, params.eta[:1]])
+
+    bad = _resave(trained / "checkpoint_averaged.json", tmp_path / "bad.json", extra_eta_row)
+    assert main(["report", "topk", "--checkpoint", str(bad), "--out", str(tmp_path / "t")]) == 2
+    assert capsys.readouterr().err.startswith("data error: ")
+
+
+def test_topk_bytes_are_the_same_from_a_v1_checkpoint(trained, tmp_path):
+    v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
+    write_document(v1, v1_document(trained / "checkpoint_averaged.json"))
+    _resave(v1, v2, lambda params: None)
+    assert v2.read_bytes() == (trained / "checkpoint_averaged.json").read_bytes()
+    for path in (v1, v2):
+        assert main(["report", "topk", "--checkpoint", str(path), "--k", "10",
+                     "--out", str(tmp_path / f"{path.stem}.tsv")]) == 0
+    assert (tmp_path / "v1.tsv").read_bytes() == (tmp_path / "v2.tsv").read_bytes()
 
 
 JUDGMENTS = "pretty\t2.5\nbeautiful\t2.0\ngentle\t1.0\nbrave\t-1.5\nstrong\t-2.0\nviolent\t-1.0\n"
@@ -264,10 +294,10 @@ def test_bad_binary_judgments_are_a_data_error(trained, tmp_path, capsys, binary
 
 @pytest.mark.parametrize("m0", [800.0, 1e308])
 def test_underflowing_posterior_is_a_numerical_failure(trained, tmp_path, capsys, m0):
-    doc = json.loads((trained / "checkpoint_averaged.json").read_text())
-    doc["m"][0] = m0
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
+    def set_m0(params):
+        params.m[0] = m0
+
+    bad = _resave(trained / "checkpoint_averaged.json", tmp_path / "bad.json", set_m0)
     (tmp_path / "j.tsv").write_text(JUDGMENTS)
     with np.errstate(over="ignore", invalid="ignore"):
         code = main(["report", "correlate", "--checkpoint", str(bad), "--judgments",

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -178,6 +181,52 @@ class TestJoint:
         params.xi = rng.normal(0, 0.7, params.xi.shape)
         assert np.allclose(joint_marginal(params, tiny_space),
                            brute_force_joint(params, tiny_space), atol=1e-12)
+
+
+# A V=2000, S=3 model's joint, then the same joint with U as the batched
+# (V, S, T) @ (T, G) product and J as a sum over axis 1.
+_JOINT_SCRIPT = """
+import sys
+import numpy as np
+from genderedlang.corpus import bundled_lexicon_path, load_gender_lexicon
+from genderedlang.model import FeatureSpace, ModelParams, _Kernel, joint_marginal
+space = FeatureSpace.from_lexicon(load_gender_lexicon(bundled_lexicon_path()))
+forms = tuple(sorted(space.form_bits))
+rng = np.random.default_rng(5)
+n_vocab, n_sent = 2000, 3
+params = ModelParams(vocab=tuple(f"w{i}" for i in range(n_vocab)), forms=forms,
+                     m=rng.normal(0, 1, n_vocab),
+                     eta=rng.uniform(0, 2, (n_vocab, n_sent, space.dim)),
+                     omega=rng.normal(0, 1, (len(forms), n_sent)), xi=rng.normal(0, 1, len(forms)))
+kernel = _Kernel(params, space)
+A = np.matmul(params.eta, kernel.F.T) + kernel.m
+A = np.exp(A - A.max(axis=0, keepdims=True))
+A /= A.sum(axis=0, keepdims=True)
+B = np.exp(params.omega - params.omega.max(axis=-1, keepdims=True))
+B = (B / B.sum(axis=-1, keepdims=True)).T
+c = np.exp(params.xi - params.xi.max())
+c /= c.sum()
+M = A * B
+M *= c
+sys.stdout.buffer.write(joint_marginal(params, space).tobytes() + M.sum(axis=1).tobytes())
+"""
+
+
+def test_joint_bytes_do_not_depend_on_the_blas_thread_count(space):
+    """U is one (V*S, T) @ (T, G) gemm; at S=3 it gives the batched product's
+    bits, and on 1 and 2 OpenBLAS threads the same J."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(model.__file__)))
+    written = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        out = subprocess.run([sys.executable, "-c", _JOINT_SCRIPT], env=env, check=True,
+                             capture_output=True).stdout
+        assert len(out) == 2 * 8 * 2000 * len(space.form_bits)  # two (V, G) float64 arrays
+        written[threads] = out[:len(out) // 2], out[len(out) // 2:]
+    assert written["1"][0] == written["1"][1]
+    assert written["1"] == written["2"]
 
 
 class TestSentimentPosterior:
