@@ -27,10 +27,11 @@ from .model import FeatureSpace, ModelParams, TrainConfig
 FORMAT = "genderedlang-checkpoint-v2"
 _V1 = "genderedlang-checkpoint-v1"
 
-# Settings that older v1 checkpoints carry in "config" and nothing reads any
-# more: the former Adam optimizer's and the training seed.  Loading accepts
-# and ignores them.
-_RETIRED = {"learning_rate", "adam_beta1", "adam_beta2", "adam_epsilon", "window", "seed"}
+# Settings that older checkpoints carry in "config" and nothing reads any
+# more: the former Adam optimizer's, the training seed, and n_sentiments,
+# which beta now decides.  Loading accepts and ignores them.
+_RETIRED = {"learning_rate", "adam_beta1", "adam_beta2", "adam_epsilon", "window", "seed",
+            "n_sentiments"}
 _CONFIG_KEYS = {f.name for f in fields(TrainConfig)}
 # The types of a JSON number; matched by type(), since JSON true/false load as bool, an int subclass.
 _NUMBERS = (int, float)
@@ -81,8 +82,9 @@ def save_checkpoint(path: str | Path, params: ModelParams, space: FeatureSpace,
         "xi": _encode(params.xi),
         "extra": extra or {},
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n",
-                          encoding="utf-8")
+    with Path(path).open("w", encoding="utf-8") as out:  # streamed: no whole-text copy
+        json.dump(doc, out, sort_keys=True, separators=(",", ":"))
+        out.write("\n")
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:

@@ -118,12 +118,8 @@ def cmd_train(args) -> int:
     space = FeatureSpace.from_lexicon(lex)
 
     alphas, betas = args.alpha_grid, args.beta_grid
-    # only the regularizer tells sentiment slices apart, so an all-zero grid fits one
-    n_sentiments = 3 if any(b > 0 for b in betas) else 1
-
     prior = load_sentiment_lexicon(args.sentiment_lexicon) if args.sentiment_lexicon else None
-    base = TrainConfig(max_iterations=args.max_iterations, tolerance=args.tolerance,
-                       n_sentiments=n_sentiments)
+    base = TrainConfig(max_iterations=args.max_iterations, tolerance=args.tolerance)
     grid = grid_train_average(table, space, prior, alphas, betas, base, jobs=args.jobs)
 
     out = Path(args.out)

@@ -79,7 +79,7 @@ class ModelParams:
 
     vocab and forms pin the axis order of every array; eta has shape
     (|V|, S, T) with S = 3 for the full model and 1 for the
-    sentiment-collapsed variant.
+    sentiment-collapsed variant, which train fits at beta = 0.
     """
 
     vocab: tuple[str, ...]
@@ -113,23 +113,17 @@ class TrainConfig:
     beta: float = 0.0
     max_iterations: int = 20000
     tolerance: float = 1e-4
-    n_sentiments: int = 3
 
     def __post_init__(self) -> None:
         if not (0 <= self.alpha < math.inf and 0 <= self.beta < math.inf):  # NaN fails too
             raise ValueError("alpha and beta must be non-negative and finite")
         if not 0 < self.tolerance < math.inf:
             raise ValueError("tolerance must be positive and finite")
-        for name in ("max_iterations", "n_sentiments"):  # bool is an int but no count
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer")
-        if self.max_iterations < 1:
+        value = self.max_iterations  # bool is an int but no count
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError("max_iterations must be an integer")
+        if value < 1:
             raise ValueError("max_iterations must be positive")
-        if self.n_sentiments not in (1, 3):
-            raise ValueError("n_sentiments must be 1 or 3")
-        if self.n_sentiments == 1 and self.beta != 0:
-            raise ValueError("posterior regularizer requires the 3-sentiment model")
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +448,8 @@ def train(table: CountTable, space: FeatureSpace, prior: SentimentPrior | None,
     Identical inputs give bitwise-identical parameters.
     """
     reg = _regularizer(prior, table.vocab, config.beta)
-    params = init_params(table, space, config.n_sentiments)
+    # only the regularizer tells sentiment slices apart, so beta = 0 fits one
+    params = init_params(table, space, 3 if config.beta > 0 else 1)
     kernel = _Kernel(params, space, table.p_hat(), reg, config.alpha, config.beta)
     x0 = np.concatenate([params.eta.ravel(), params.omega.ravel(), params.xi.ravel()])
     x, values, reason, residual = _lbfgs(kernel.negated, x0, params.eta.size, config.tolerance,
@@ -478,7 +473,9 @@ def grid_train_average(table: CountTable, space: FeatureSpace, prior: SentimentP
 
     The background m is shared by construction.  Cells run independently
     (optionally in a thread pool); the average is taken in fixed grid order,
-    so the result is deterministic regardless of scheduling.  A cell listed
+    so the result is deterministic regardless of scheduling.  Beside beta > 0
+    cells, a beta = 0 cell's one sentiment slice counts as all three: its
+    omega is 0, the uniform p(s | n) of three identical slices.  A cell listed
     twice, and a beta > 0 cell without a prior covering the vocabulary, are
     DataErrors raised before any cell trains.
     """
@@ -511,8 +508,8 @@ def grid_train_average(table: CountTable, space: FeatureSpace, prior: SentimentP
         vocab=first.vocab,
         forms=first.forms,
         m=first.m.copy(),
-        eta=np.mean([r.params.eta for r in results], axis=0),
-        omega=np.mean([r.params.omega for r in results], axis=0),
+        eta=np.mean(np.broadcast_arrays(*(r.params.eta for r in results)), axis=0),
+        omega=np.mean(np.broadcast_arrays(*(r.params.omega for r in results)), axis=0),
         xi=np.mean([r.params.xi for r in results], axis=0),
     )
     return GridResult(params=avg, runs=runs)

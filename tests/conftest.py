@@ -78,10 +78,17 @@ def sentiment_posterior(params, space):
 
 
 def mean_posterior_kl(params, space, prior):
-    """Mean of KL(q(s | v) || p(s | v)) over the words the prior covers, one word at a time."""
+    """Mean of KL(q(s | v) || p(s | v)) over the words the prior covers, one word at a time.
+
+    The collapsed model (one sentiment axis) reads as a uniform p(s | v), the
+    posterior of the three identical slices a full model trains at beta = 0.
+    """
     q, mask = _regularizer(prior, params.vocab, beta=1.0)
     posterior = sentiment_posterior(params, space)
-    kls = [sum(q_s * math.log(q_s / p_s) for q_s, p_s in zip(q[v], posterior[v]) if q_s > 0)
+    if posterior.shape[1] == 1:
+        posterior = np.full(q.shape, 1 / q.shape[1])
+    kls = [sum(q_s * math.log(q_s / p_s) for q_s, p_s in zip(q[v], posterior[v], strict=True)
+               if q_s > 0)
            for v in np.flatnonzero(mask)]
     assert kls, "no vocabulary word is covered by the prior"
     return float(np.mean(kls))

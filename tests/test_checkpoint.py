@@ -34,7 +34,7 @@ class TestCheckpoint:
             params.eta[0, 0, :2] = -0.0, 5e-324
             params.omega[0, 0], params.xi[0] = -sys.float_info.max, -5e-324
             beta = 0.5 if n_sentiments == 3 else 0.0
-            config = TrainConfig(alpha=1e-3, beta=beta, max_iterations=7, n_sentiments=n_sentiments)
+            config = TrainConfig(alpha=1e-3, beta=beta, max_iterations=7)
             path = tmp_path / f"ckpt{n_sentiments}.json"
             save_checkpoint(path, params, space, config, toy_table.fingerprint(), "amod",
                             extra={"iterations": 42})
@@ -50,7 +50,7 @@ class TestCheckpoint:
             doc = json.loads(path.read_text())
             assert doc["format"] == "genderedlang-checkpoint-v2"
             assert doc["config"] == {"alpha": 1e-3, "beta": beta, "max_iterations": 7,
-                                     "tolerance": 1e-4, "n_sentiments": n_sentiments}
+                                     "tolerance": 1e-4}
             assert doc["fingerprint"] == toy_table.fingerprint()
             assert doc["extra"] == {"iterations": 42}
             assert doc["eta_shape"] == list(params.eta.shape)
@@ -61,8 +61,8 @@ class TestCheckpoint:
         for n_sentiments in (3, 1):
             params = random_params(toy_table, space, seed=2, n_sentiments=n_sentiments)
             v2, v1 = tmp_path / f"v2_{n_sentiments}.json", tmp_path / f"v1_{n_sentiments}.json"
-            save_checkpoint(v2, params, space, TrainConfig(n_sentiments=n_sentiments), "fp",
-                            "nsubj", extra={"converged": True})
+            save_checkpoint(v2, params, space, TrainConfig(), "fp", "nsubj",
+                            extra={"converged": True})
             doc = v1_document(v2)
             assert len(doc["eta"]) == np.count_nonzero(params.eta)
             write_document(v1, doc)
@@ -89,6 +89,16 @@ class TestCheckpoint:
         loaded = load_checkpoint(p1)
         save_checkpoint(p2, loaded.params, loaded.space, TrainConfig(), "fp", loaded.relation)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_saved_text_is_the_sorted_compact_json_of_its_document(self, toy_table, space,
+                                                                   tmp_path):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, random_params(toy_table, space, seed=3), space,
+                        TrainConfig(alpha=1e-3, beta=0.5), "fp", "amod",
+                        extra={"iterations": 3, "kkt_residual": 1.5e-5, "converged": False})
+        text = path.read_text(encoding="utf-8")
+        doc = json.loads(text)
+        assert text == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
     def test_garbage_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -340,6 +350,24 @@ def test_retired_optimizer_keys_load_and_are_ignored(toy_table, space, tmp_path)
                          adam_epsilon=1e-8, window=50, seed=7)
     path.write_text(json.dumps(doc))
     assert load_checkpoint(path).relation == "amod"
+
+
+@pytest.mark.parametrize("v1", [False, True], ids=["v2", "v1"])
+def test_n_sentiments_key_of_earlier_checkpoints_loads(toy_table, space, tmp_path, v1):
+    # Checkpoints written before beta decided the sentiment axes carry
+    # n_sentiments in "config"; an unknown key is still rejected.
+    path = tmp_path / "ckpt.json"
+    params = random_params(toy_table, space)
+    save_checkpoint(path, params, space, TrainConfig(beta=0.5), "fp", "amod")
+    doc = v1_document(path) if v1 else json.loads(path.read_text())
+    assert "n_sentiments" not in doc["config"]
+    doc["config"]["n_sentiments"] = 3
+    write_document(path, doc)
+    assert load_checkpoint(path).params.eta.tobytes() == params.eta.tobytes()
+    doc["config"]["momentum"] = 0.5
+    write_document(path, doc)
+    with pytest.raises(DataError, match="unknown config key.* momentum"):
+        load_checkpoint(path)
 
 
 def test_config_values_are_not_checked(toy_table, space, tmp_path):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -359,6 +360,35 @@ class TestTrain:
         assert code == 2
         assert fits == []  # rejected before the beta = 0 cell trains
 
+    def test_mixed_beta_grid_averages_the_broadcast_collapsed_cell(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["train", "--corpus", str(DATA / "toy_corpus.tsv"), "--relation", "amod",
+                     "--sentiment-lexicon", str(DATA / "toy_sentiment.tsv"),
+                     "--alpha-grid", "0.001", "--beta-grid", "0,0.1",
+                     "--max-iterations", "60", "--out", str(out)]) == 0
+        names = ("alpha0.001_beta0", "alpha0.001_beta0.1", "averaged")
+        loaded = [load_checkpoint(out / f"checkpoint_{n}.json") for n in names]
+        free, regularized, averaged = (checkpoint.params for checkpoint in loaded)
+        assert [params.eta.shape[1] for params in (free, regularized, averaged)] == [1, 3, 3]
+        space = loaded[0].space
+        broadcast = model.ModelParams(free.vocab, free.forms, free.m,
+                                      np.broadcast_to(free.eta, regularized.eta.shape),
+                                      np.broadcast_to(free.omega, regularized.omega.shape),
+                                      free.xi)
+        # the collapsed cell as three slices is the same distribution p(v, n)
+        assert np.allclose(model.joint_marginal(broadcast, space),
+                           model.joint_marginal(free, space), rtol=0, atol=1e-15)
+        for name in ("eta", "omega", "xi"):
+            cells = [getattr(broadcast, name), getattr(regularized, name)]
+            assert np.array_equal(getattr(averaged, name), np.mean(cells, axis=0))
+
+    def test_every_train_config_field_is_a_flag_or_a_grid_axis(self):
+        # a value the code can derive (as beta decides the sentiment axes) is no setting
+        flags = vars(cli._build_parser().parse_args(["train", "--corpus", "c", "--relation",
+                                                     "amod", "--out", "o"])).keys()
+        unreachable = {f.name for f in fields(model.TrainConfig)} - flags - {"alpha", "beta"}
+        assert not unreachable, f"TrainConfig fields with no train flag: {sorted(unreachable)}"
+
     def test_config_no_sentiment_key_is_usage_error(self, tmp_path):
         # the beta grid decides the sentiment axes; the old key names no flag
         config = tmp_path / "run.conf"
@@ -390,7 +420,7 @@ class TestTrain:
         assert code == 0
         doc = json.loads((out / "checkpoint_alpha0.001_beta0.json").read_text())
         assert doc["config"]["max_iterations"] == 60  # flag wins over config
-        assert doc["config"]["n_sentiments"] == 1
+        assert doc["eta_shape"][1] == 1  # beta = 0: the collapsed model
 
     def test_config_repeatable_flag_given_on_command_line(self, tmp_path):
         # the command line's --input replaces the config's, so the file is read once
@@ -609,7 +639,7 @@ def planted(tmp_path_factory):
             column = space.fem_index if grade > 0 else space.masc_index
             params.eta[params.vocab_index(word), :, column] = abs(grade)
         files[name] = out / f"{name}.json"
-        save_checkpoint(files[name], params, space, model.TrainConfig(n_sentiments=n_sentiments),
+        save_checkpoint(files[name], params, space, model.TrainConfig(),
                         table.fingerprint(), data.config.relation.value)
     files["prior"] = out / "prior.tsv"
     rng = np.random.default_rng(13)

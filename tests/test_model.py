@@ -357,7 +357,7 @@ class TestGradient:
         params.eta = rng.uniform(0.5, 1.5, params.eta.shape)  # interior point
         params.omega = rng.normal(0, 0.5, params.omega.shape)
         params.xi = rng.normal(0, 0.5, params.xi.shape)
-        config = TrainConfig(alpha=alpha, beta=beta, n_sentiments=n_sentiments)
+        config = TrainConfig(alpha=alpha, beta=beta)
         g_eta, g_omega, g_xi = gradient(params, tiny_space, table, tiny_prior(), config)
         for got, array in ((g_eta, params.eta), (g_omega, params.omega), (g_xi, params.xi)):
             want = self.finite_difference(params, tiny_space, table, tiny_prior(), config, array)
@@ -411,7 +411,7 @@ def test_train_config_rejects_nan(field):
 
 @pytest.mark.parametrize("field, value", [
     ("max_iterations", 0), ("max_iterations", -5), ("max_iterations", 2.5),
-    ("max_iterations", True), ("n_sentiments", 3.0), ("n_sentiments", True),
+    ("max_iterations", True),
 ])
 def test_train_config_rejects_non_count(field, value):
     with pytest.raises(ValueError, match=field):
@@ -432,6 +432,11 @@ class TestTrain:
         kl_free = mean_posterior_kl(free.params, space, toy_prior)
         assert kl_strong < kl_free
         assert kl_strong <= 0.05
+
+    @pytest.mark.parametrize("beta, n_sent", [(0.0, 1), (0.5, 3)])
+    def test_beta_decides_the_sentiment_axes(self, toy_table, space, toy_prior, beta, n_sent):
+        result = train(toy_table, space, toy_prior, TrainConfig(beta=beta, max_iterations=5))
+        assert result.params.eta.shape[1] == result.params.omega.shape[1] == n_sent
 
     def test_eta_stays_non_negative(self, toy_table, space, toy_prior):
         result = train(toy_table, space, toy_prior,
