@@ -14,7 +14,7 @@ import argparse
 import tempfile
 import time
 
-from genderedlang.corpus import Relation, aggregate_counts, bundled_lexicon_path, load_gender_lexicon
+from genderedlang.corpus import aggregate_counts, bundled_lexicon_path, load_gender_lexicon
 from genderedlang.evaluation import sense_difference_suite
 from genderedlang.lexicons import SenseKind, load_sense_inventory, load_sentiment_lexicon
 from genderedlang.model import FeatureSpace, TrainConfig, grid_train_average
@@ -24,11 +24,11 @@ from genderedlang.synth import SynthConfig, generate, write_lexicons
 def detect(lex, space, seed, effect, args):
     data = generate(SynthConfig(seed=seed, vocab_size=args.vocab_size,
                                 n_pairs=args.n_pairs, planted_body_fem=effect), lex)
-    table = aggregate_counts(data.pairs, Relation.AMOD, lex)
+    table = aggregate_counts(data.pairs, data.config.relation, lex)
     with tempfile.TemporaryDirectory() as tmp:
         paths = write_lexicons(tmp, data)
         prior = load_sentiment_lexicon(paths["sentiment"])
-        inventory = load_sense_inventory(paths["senses"], SenseKind.ADJ)
+        inventory = load_sense_inventory(paths["senses"], SenseKind.of(data.config.relation))
     grid = grid_train_average(table, space, prior, [0.0, 1e-3], [0.1, 1.0],
                               TrainConfig(max_iterations=args.max_iterations))
     rows = sense_difference_suite(grid.params, space, inventory, k=args.k,

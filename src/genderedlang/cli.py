@@ -174,7 +174,11 @@ def cmd_report_pmi(args) -> int:
 
 def cmd_report_senses(args) -> int:
     loaded = ckpt.load_checkpoint(args.checkpoint)
-    inventory = load_sense_inventory(args.inventory, SenseKind(args.kind))
+    kind = SenseKind.of(loaded.relation)
+    if args.kind != kind.value:
+        raise DataError(f"--kind {args.kind} does not match the checkpoint's relation "
+                        f"{loaded.relation}, whose neighbors are {kind.value} senses")
+    inventory = load_sense_inventory(args.inventory, kind)
     suite = ev.sense_difference_suite(loaded.params, loaded.space, inventory, k=args.k,
                                       permutations=args.permutations, seed=args.seed)
     rows = [["sentiment", "sense", "freq_masc", "freq_fem", "p", "significant"]]
@@ -270,8 +274,7 @@ def cmd_report_prop1(args) -> int:
 def cmd_synth(args) -> int:
     lex = _load_lexicon(args)
     config = SynthConfig(seed=args.seed, vocab_size=args.vocab_size, n_pairs=args.n_pairs,
-                         planted_body_fem=args.planted_body_fem, kind=SenseKind(args.kind),
-                         relation=Relation(args.relation))
+                         planted_body_fem=args.planted_body_fem, relation=Relation(args.relation))
     data = generate(config, lex)
     paths = write_synth(args.out, data, lex)
     print(f"wrote synthetic corpus ({len(data.pairs)} pairs) to {args.out}")
@@ -382,7 +385,8 @@ def _build_parser() -> _Parser:
     _add_common(p, lexicon=False)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--inventory", required=True)
-    p.add_argument("--kind", choices=[k.value for k in SenseKind], default="adj")
+    p.add_argument("--kind", choices=[k.value for k in SenseKind], default="adj",
+                   help="must match the checkpoint's relation: adj for amod, verb otherwise")
     p.add_argument("--k", type=_POSITIVE_INT, default=200)
     p.add_argument("--permutations", type=_POSITIVE_INT, default=100000)
     p.add_argument("--seed", type=_SEED, default=0)
@@ -416,7 +420,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--permutations", type=_POSITIVE_INT, default=100000)
     p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--alpha", type=_checked(float, lambda v: 0 < v < 1, "in (0, 1)"),
-                   default=0.05)
+                   default=ev.ALPHA)
     p.add_argument("--tests", type=_POSITIVE_INT, default=1, help="Bonferroni divisor")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_report_permtest)
@@ -439,7 +443,6 @@ def _build_parser() -> _Parser:
                    type=_checked(float, lambda v: 0 <= v <= MAX_PLANTED_BODY_FEM,
                                  f"in [0, {MAX_PLANTED_BODY_FEM}]"),
                    help="mean body-sense weight added to the FEM group")
-    p.add_argument("--kind", choices=[k.value for k in SenseKind], default="adj")
     p.add_argument("--relation", choices=[r.value for r in Relation], default="amod")
     p.add_argument("--out", required=True)
     _add_common(p)

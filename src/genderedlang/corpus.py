@@ -467,11 +467,8 @@ class CountTable:
 
     def fingerprint(self) -> str:
         """Order-independent sha256 of (relation, sorted count triples)."""
-        h = hashlib.sha256()
-        h.update(self.relation.value.encode())
-        for neighbor, form, count in self.entries():
-            h.update(f"\n{neighbor}\t{form}\t{count}".encode())
-        return h.hexdigest()
+        text = "".join(f"\n{neighbor}\t{form}\t{count}" for neighbor, form, count in self.entries())
+        return hashlib.sha256((self.relation.value + text).encode()).hexdigest()
 
 
 def _build_table(relation: Relation, vocab: tuple[str, ...], rows, forms: tuple[str, ...], cols,

@@ -62,6 +62,8 @@ class TestResult:
 # draws and the hit counts do not depend on it.
 _BLOCK_VALUES = 1 << 16
 
+ALPHA = 0.05  # family-wise significance level of each test family
+
 
 def _shuffles(n: int, permutations: int, seed: int):
     """Row blocks of shuffled indices ``range(n)``, `permutations` rows in all:
@@ -170,7 +172,7 @@ def _permutation_tests(a: np.ndarray, b: np.ndarray, permutations: int, seed: in
 
 
 def permutation_test(group_a, group_b, permutations: int = 100_000, seed: int = 0,
-                     alpha: float = 0.05) -> TestResult:
+                     alpha: float = ALPHA) -> TestResult:
     """Unpaired permutation test of |mean(A) - mean(B)|.
 
     All C(|A|+|B|, |A|) relabelings are enumerated when that count is at
@@ -208,16 +210,15 @@ def _topk_rows(params: ModelParams, space: FeatureSpace, gender: Gender, sentime
 
 def sense_difference_suite(params: ModelParams, space: FeatureSpace,
                            inventory: SenseInventory, k: int = 200,
-                           permutations: int = 100_000, seed: int = 0,
-                           alpha: float = 0.05) -> list[SenseTestRow]:
+                           permutations: int = 100_000, seed: int = 0) -> list[SenseTestRow]:
     """Male-vs-female permutation tests of mean sense weight, per sentiment.
 
-    Each sentiment's tests are Bonferroni-corrected across the sense set;
-    when the full model is used a pooled variant over all sentiments is
-    appended with label "all".  A family's tests share one permutation
-    stream drawn from `seed`; Bonferroni is unchanged.  Families with equal
-    group sizes draw the same stream, so their columns are tested together
-    in one call.
+    Each sentiment's tests are Bonferroni-corrected across the sense set, each
+    at ALPHA / number of senses; when the full model is used a pooled variant
+    over all sentiments is appended with label "all".  A family's tests share
+    one permutation stream drawn from `seed`; Bonferroni is unchanged.
+    Families with equal group sizes draw the same stream, so their columns
+    are tested together in one call.
     """
     families = [(sentiment_label(s), (s,)) for s in params.sentiments]
     if len(params.sentiments) > 1:
@@ -234,7 +235,7 @@ def sense_difference_suite(params: ModelParams, space: FeatureSpace,
     for shape in dict.fromkeys((len(masc), len(fem)) for masc, fem in groups):
         members = [i for i, (masc, fem) in enumerate(groups) if (len(masc), len(fem)) == shape]
         masc, fem = (np.concatenate([groups[i][g] for i in members], axis=1) for g in (0, 1))
-        tested = _permutation_tests(masc, fem, permutations, seed, alpha / len(senses))
+        tested = _permutation_tests(masc, fem, permutations, seed, ALPHA / len(senses))
         for j, i in enumerate(members):
             results[i] = tested[j * len(senses):(j + 1) * len(senses)]
     return [SenseTestRow(sentiment=label, sense=sense, result=result)
@@ -243,13 +244,13 @@ def sense_difference_suite(params: ModelParams, space: FeatureSpace,
 
 
 def sentiment_frequency(params: ModelParams, space: FeatureSpace, prior: SentimentPrior,
-                        k: int = 200, permutations: int = 100_000, seed: int = 0,
-                        alpha: float = 0.05) -> dict[Sentiment, TestResult]:
+                        k: int = 200, permutations: int = 100_000,
+                        seed: int = 0) -> dict[Sentiment, TestResult]:
     """Sentiment-frequency analysis of the collapsed (sentiment-free) model.
 
     For each gender, the top-k deviation list is scored by the external
     prior: frequency of sentiment s is the mean q(s | word) over covered
-    words, tested male-vs-female per sentiment at alpha / 3.  A family's
+    words, tested male-vs-female per sentiment at ALPHA / 3.  A family's
     tests share one permutation stream drawn from `seed`; Bonferroni is
     unchanged.  Each result's mean_a and mean_b are the masc and fem
     frequencies.
@@ -257,7 +258,7 @@ def sentiment_frequency(params: ModelParams, space: FeatureSpace, prior: Sentime
     if params.sentiments != (None,):
         raise DataError("sentiment-frequency analysis requires the sentiment-collapsed model")
     masc, fem = (_topk_rows(params, space, g, params.sentiments, k, prior.get) for g in GENDERS)
-    results = _permutation_tests(masc, fem, permutations, seed, alpha / len(SENTIMENTS))
+    results = _permutation_tests(masc, fem, permutations, seed, ALPHA / len(SENTIMENTS))
     return dict(zip(SENTIMENTS, results))
 
 

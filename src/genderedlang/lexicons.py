@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .corpus import read_rows
+from .corpus import Relation, read_rows
 from .errors import DataError
 
 
@@ -68,6 +68,11 @@ class SenseKind(str, Enum):
     @property
     def senses(self) -> tuple[str, ...]:
         return ADJECTIVE_SENSES if self is SenseKind.ADJ else VERB_SENSES
+
+    @classmethod
+    def of(cls, relation: Relation) -> SenseKind:
+        """Adjectives modify a noun (amod); verbs take it as subject or object."""
+        return cls.ADJ if relation == Relation.AMOD else cls.VERB
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,6 @@ class SynthConfig:
     n_pairs: int = 200_000
     planted_body_fem: float = 0.0
     relation: Relation = Relation.AMOD
-    kind: SenseKind = SenseKind.ADJ
 
 
 @dataclass
@@ -86,7 +85,7 @@ def generate(config: SynthConfig, lex: GenderLexicon) -> SynthData:
         sentiment_rows.append((vocab[v], alphas[0], alphas[1], alphas[2]))
 
     # Sense distributions: planted body-weight shift for the FEM group only.
-    other = [s for s in config.kind.senses if s != "body"]
+    other = [s for s in SenseKind.of(config.relation).senses if s != "body"]
     sense_rows = []
     true_body = np.zeros(config.vocab_size)
     for v in range(config.vocab_size):
@@ -106,11 +105,10 @@ def generate(config: SynthConfig, lex: GenderLexicon) -> SynthData:
     joint = joint_marginal(truth, space)
     draws = rng.multinomial(config.n_pairs, joint.ravel() / joint.sum()).reshape(joint.shape)
 
-    pairs = []
-    for i, word in enumerate(vocab):
-        for j, form in enumerate(forms):
-            if draws[i, j] > 0:
-                pairs.append(Pair(form, word, config.relation, int(draws[i, j])))
+    # one pair per nonzero cell, by word then form; tolist() makes the ints the pairs keep
+    pairs = [Pair(form, word, config.relation, count)
+             for word, row in zip(vocab, draws.tolist())
+             for form, count in zip(forms, row) if count]
 
     judgments = {}
     binary = {}
@@ -126,7 +124,7 @@ def generate(config: SynthConfig, lex: GenderLexicon) -> SynthData:
         "vocab_size": config.vocab_size,
         "n_pairs": config.n_pairs,
         "relation": config.relation.value,
-        "kind": config.kind.value,
+        "kind": SenseKind.of(config.relation).value,
         "planted_body_fem": config.planted_body_fem,
         "fem_words": [vocab[v] for v in fem_ids],
         "masc_words": [vocab[v] for v in masc_ids],
@@ -147,7 +145,7 @@ def write_lexicons(out_dir: str | Path, data: SynthData) -> dict[str, Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {"sentiment": out / "sentiment_lexicon.tsv",
-             "senses": out / f"senses_{data.config.kind.value}.tsv"}
+             "senses": out / f"senses_{SenseKind.of(data.config.relation).value}.tsv"}
     write_rows(paths["sentiment"], data.sentiment_rows)
     write_rows(paths["senses"], [(word, ",".join(f"{name}:{w!r}" for name, w in dist.items()))
                                  for word, dist in data.sense_rows])

@@ -527,6 +527,15 @@ class TestReports:
         assert len(rows) == 4 * 13  # pos/neg/neu/all x adjective senses
         assert all(0 < float(r["p"]) <= 1 for r in rows)
 
+    def test_senses_kind_must_match_the_checkpoint_relation(self, trained, tmp_path, capsys):
+        assert main(["report", "senses", "--checkpoint",
+                     str(trained / "checkpoint_averaged.json"),
+                     "--inventory", str(DATA / "toy_senses_adj.tsv"), "--kind", "verb",
+                     "--out", str(tmp_path / "senses.tsv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "--kind verb" in err and "amod" in err
+        assert not (tmp_path / "senses.tsv").exists()
+
     def test_senses_collapsed_model_uses_topk_label(self, trained_collapsed, tmp_path):
         senses, topk = tmp_path / "senses1.tsv", tmp_path / "topk1.tsv"
         checkpoint = str(trained_collapsed / "checkpoint_averaged.json")
@@ -618,6 +627,40 @@ class TestSynthCommand:
 
     def test_vocab_size_floor_is_usage_error(self, tmp_path):
         assert main(["synth", "--vocab-size", "3", "--out", str(tmp_path / "x")]) == 1
+
+    def test_kind_flag_is_a_usage_error(self, tmp_path, capsys):
+        # the relation decides the sense kind
+        assert main(["synth", "--kind", "adj", "--out", str(tmp_path / "x")]) == 1
+        assert "--kind" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("relation, kind", [("amod", SenseKind.ADJ), ("nsubj", SenseKind.VERB),
+                                                ("dobj", SenseKind.VERB)])
+    def test_relation_decides_the_sense_kind(self, tmp_path, relation, kind):
+        assert main(["synth", "--seed", "3", "--vocab-size", "60", "--n-pairs", "20000",
+                     "--relation", relation, "--out", str(tmp_path)]) == 0
+        assert sorted(p.name for p in tmp_path.glob("senses_*.tsv")) == [f"senses_{kind.value}.tsv"]
+        inventory = load_sense_inventory(tmp_path / f"senses_{kind.value}.tsv", kind)
+        assert len(inventory.weights) == 60
+        assert set().union(*inventory.weights.values()) == set(kind.senses)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert (manifest["relation"], manifest["kind"]) == (relation, kind.value)
+        corpus = (tmp_path / "corpus.tsv").read_text().splitlines()
+        assert {line.split("\t")[0] for line in corpus} == {relation}
+
+    def test_verb_chain_runs(self, tmp_path):
+        synth, ingest, train = tmp_path / "synth", tmp_path / "ingest", tmp_path / "train"
+        assert main(["synth", "--seed", "4", "--vocab-size", "60", "--n-pairs", "20000",
+                     "--relation", "nsubj", "--out", str(synth)]) == 0
+        assert main(["ingest", "--input", str(synth / "corpus.tsv"), "--format", "canonical",
+                     "--out", str(ingest)]) == 0
+        assert main(["train", "--corpus", str(ingest / "nsubj.tsv"), "--relation", "nsubj",
+                     "--alpha-grid", "0.001", "--max-iterations", "50", "--out", str(train)]) == 0
+        out = tmp_path / "senses.tsv"
+        assert main(["report", "senses", "--checkpoint", str(train / "checkpoint_averaged.json"),
+                     "--inventory", str(synth / "senses_verb.tsv"), "--kind", "verb",
+                     "--k", "10", "--permutations", "200", "--out", str(out)]) == 0
+        _, rows = read_tsv(out)
+        assert [r["sense"] for r in rows] == list(SenseKind.VERB.senses)  # the collapsed axis
 
 
 @pytest.fixture(scope="module")

@@ -425,7 +425,7 @@ class TestSenseSuite:
             sentiments = groupings[row.sentiment]
             want = permutation_test(column(Gender.MASC, sentiments, row.sense),
                                     column(Gender.FEM, sentiments, row.sense),
-                                    permutations=301, seed=7, alpha=0.05 / 13)
+                                    permutations=301, seed=7, alpha=evaluation.ALPHA / 13)
             assert row.result == want  # every field, floats bit for bit
         assert {r.result.exact for r in rows} == {k == 4}
 
@@ -451,7 +451,8 @@ class TestSenseSuite:
             masc, fem = (evaluation._topk_rows(params, space, g, sentiments, k, weights)
                          for g in (Gender.MASC, Gender.FEM))
             shapes.append((len(masc), len(fem)))
-            results = evaluation._permutation_tests(masc, fem, 301, 7, 0.05 / len(senses))
+            results = evaluation._permutation_tests(masc, fem, 301, 7,
+                                                    evaluation.ALPHA / len(senses))
             want.extend((label, sense, result) for sense, result in zip(senses, results))
         distinct = list(dict.fromkeys(shapes))
         assert len(distinct) == (3 if drop else 2)
@@ -518,7 +519,7 @@ class TestSentimentFrequency:
         for j, sentiment in enumerate(SENTIMENTS):
             want = permutation_test([t[j] for t in groups[Gender.MASC]],
                                     [t[j] for t in groups[Gender.FEM]],
-                                    permutations=301, seed=7, alpha=0.05 / 3)
+                                    permutations=301, seed=7, alpha=evaluation.ALPHA / 3)
             assert tests[sentiment] == want  # every field, floats bit for bit
             assert want.exact == (k == 5)
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -45,6 +46,19 @@ class TestGenerate:
         table = aggregate_counts(data.pairs, Relation.AMOD, lexicon)
         assert table.total == sum(p.count for p in data.pairs)
         assert abs(table.p_hat().sum() - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("config, n, digest", [
+        (SynthConfig(seed=0, vocab_size=240, n_pairs=300_000, planted_body_fem=0.15), 8435,
+         "cee32dbc45108dd5291e9201c5d9ac6812dffff663560d16e0e1460906df25bf"),
+        (SynthConfig(seed=5, vocab_size=60, n_pairs=20_000, relation=Relation.NSUBJ), 1951,
+         "8937d597e13ffbc7bccd022b9411a8eff98585d5baba9b603d67496cea87b5f3"),
+    ], ids=["amod", "nsubj"])
+    def test_pairs_match_their_recorded_digest(self, lexicon, config, n, digest):
+        # recorded from the former per-cell loop; the nsubj corpus was drawn with verb senses
+        pairs = generate(config, lexicon).pairs
+        text = "".join(f"{p.form}\t{p.neighbor}\t{p.relation.value}\t{p.count}\n" for p in pairs)
+        assert len(pairs) == n and all(type(p.count) is int for p in pairs)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_judgments_cover_gendered_words_with_signs(self, lexicon):
         data = generate(SynthConfig(seed=7, vocab_size=60), lexicon)
