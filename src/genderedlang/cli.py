@@ -129,13 +129,15 @@ def cmd_train(args) -> int:
         tag = f"alpha{a:g}_beta{b:g}"
         ckpt.save_checkpoint(out / f"checkpoint_{tag}.json", run.params, space, run.config,
                              fingerprint, relation.value,
-                             extra={"iterations": run.iterations, "converged": run.converged,
+                             extra={"iterations": run.iterations,
+                                    "evaluations": run.evaluations, "converged": run.converged,
                                     "stop_reason": run.stop_reason,
                                     "kkt_residual": run.kkt_residual})
         write_rows(out / f"trace_{tag}.tsv", [["iteration", "objective"], *enumerate(run.trace)])
         print(f"cell alpha={a:g} beta={b:g}: {run.iterations} iterations, "
-              f"objective {run.trace[-1]:.6f}, converged={run.converged} "
-              f"(stop {run.stop_reason}, KKT residual {run.kkt_residual:.3g})", file=sys.stderr)
+              f"{run.evaluations} evaluations, objective {run.trace[-1]:.6f}, "
+              f"converged={run.converged} (stop {run.stop_reason}, "
+              f"KKT residual {run.kkt_residual:.3g})", file=sys.stderr)
     ckpt.save_checkpoint(out / "checkpoint_averaged.json", grid.params, space, base,
                          fingerprint, relation.value,
                          extra={"grid_alphas": alphas, "grid_betas": betas})

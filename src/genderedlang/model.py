@@ -343,6 +343,7 @@ class TrainResult:
     params: ModelParams
     trace: list[float]
     iterations: int
+    evaluations: int          # objective-and-gradient evaluations, line search included
     converged: bool
     config: TrainConfig
     stop_reason: str          # "tolerance" | "max_iterations" | "line_search"
@@ -351,42 +352,57 @@ class TrainResult:
 
 # Projected L-BFGS: stored (s, y) pairs, the Armijo sufficient-decrease
 # constant, the backtracking factor and the halvings tried per direction.
+# train's initial inverse Hessian scales each eta(v, s, t) by
+# 1 / (p_hat(v, t) + KAPPA / V): KAPPA times the mean word mass floors it.
+# Of 0.01 to 3, KAPPA = 0.3 took the fewest iterations on V=240 synth grids
+# and over the toy corpus's cells; on V=2000 synth cells it came within 6% of
+# the fewest of 0.1, 0.3 and 1.
 MEMORY = 5
 ARMIJO = 1e-4
 BACKTRACK = 0.5
 MAX_HALVINGS = 40
+KAPPA = 0.3
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b of 1-D arrays, summed by numpy itself: its bits do not depend on BLAS threads."""
+    return float(np.einsum("i,i->", a, b))
 
 
 def _two_loop(q: np.ndarray, pairs: list[tuple[np.ndarray, np.ndarray, float, float]],
-              work: np.ndarray) -> None:
+              h0: np.ndarray, work: np.ndarray) -> None:
     """Overwrite q with H q for the L-BFGS inverse-Hessian estimate H of the stored pairs.
 
-    Each pair is (s, y, 1/s.y, s.y/y.y); work is scratch of q's size.
+    Each pair is (s, y, 1/s.y, gamma); the newest pair's gamma scales the
+    diagonal h0 into the initial matrix.  work is scratch of q's size.
     """
     coefs = []
     for s, y, rho, _ in reversed(pairs):
-        coefs.append(rho * float(s @ q))
+        coefs.append(rho * _dot(s, q))
         q -= np.multiply(y, coefs[-1], out=work)
     if pairs:
-        q *= pairs[-1][3]
+        q *= np.multiply(h0, pairs[-1][3], out=work)
     for (s, y, rho, _), a in zip(pairs, reversed(coefs)):
-        q += np.multiply(s, a - rho * float(y @ q), out=work)
+        q += np.multiply(s, a - rho * _dot(y, q), out=work)
 
 
-def _lbfgs(fun, x: np.ndarray, n_bounded: int, tol: float, max_iterations: int
-           ) -> tuple[np.ndarray, list[float], str, float]:
+def _lbfgs(fun, x: np.ndarray, h0: np.ndarray, n_bounded: int, tol: float, max_iterations: int
+           ) -> tuple[np.ndarray, list[float], str, float, int]:
     """Minimize fun over {x : x[:n_bounded] >= 0} by projected L-BFGS.
 
     fun(x, out) returns the value at x and writes the gradient into out.
     Each step takes the L-BFGS direction of the projected gradient, holds
     the coordinates at zero that the gradient or the direction points below
     zero, and backtracks along the projected path max(x + t d, 0) until the
-    Armijo condition holds.  The run stops when the projected gradient's
-    inf-norm (the KKT residual) is at most tol ("tolerance"), after
-    max_iterations steps ("max_iterations"), or when MAX_HALVINGS halvings
-    find no sufficient decrease ("line_search").  Returns the last iterate,
-    fun's value at every iterate, the stop reason and the residual.  A
-    non-finite value raises NumericalError.
+    Armijo condition holds.  The initial inverse Hessian is gamma * h0, a
+    positive x-shaped diagonal with gamma = s.y / y.(h0 y) from the newest
+    pair (Liu & Nocedal 1989); h0 = 1 gives the usual scalar s.y / y.y.
+    The run stops when the projected gradient's inf-norm (the KKT residual)
+    is at most tol ("tolerance"), after max_iterations steps
+    ("max_iterations"), or when MAX_HALVINGS halvings find no sufficient
+    decrease ("line_search").  Returns the last iterate, fun's value at
+    every iterate, the stop reason, the residual and the number of fun
+    calls.  A non-finite value raises NumericalError.
 
     The loop allocates no vector per step: the start x and one more buffer
     take turns as the iterate, two buffers as its gradient, and the step
@@ -397,7 +413,7 @@ def _lbfgs(fun, x: np.ndarray, n_bounded: int, tol: float, max_iterations: int
     slots = [(np.empty(n), np.empty(n)) for _ in range(MEMORY)]   # free (s, y) slots
     pinned, rising, hold = (np.empty(n_bounded, dtype=bool) for _ in range(3))
     f = fun(x, g)
-    values, pairs = [f], []
+    values, pairs, evaluations = [f], [], 1
     while np.isfinite(f):
         np.less_equal(x[:n_bounded], 0.0, out=pinned)
         np.greater(g[:n_bounded], 0.0, out=rising)
@@ -405,15 +421,15 @@ def _lbfgs(fun, x: np.ndarray, n_bounded: int, tol: float, max_iterations: int
         np.copyto(pg[:n_bounded], 0.0, where=np.logical_and(pinned, rising, out=hold))
         residual = float(np.abs(pg, out=s).max())
         if residual <= tol:
-            return x, values, "tolerance", residual
+            return x, values, "tolerance", residual, evaluations
         if len(values) > max_iterations:
-            return x, values, "max_iterations", residual
+            return x, values, "max_iterations", residual, evaluations
         np.copyto(d, pg)
-        _two_loop(d, pairs, s)
+        _two_loop(d, pairs, h0, s)
         np.negative(d, out=d)
         np.logical_or(rising, np.less(d[:n_bounded], 0.0, out=hold), out=hold)
         np.copyto(d[:n_bounded], 0.0, where=np.logical_and(pinned, hold, out=hold))
-        if float(d @ pg) >= 0:  # not a descent direction: restart from steepest descent
+        if _dot(d, pg) >= 0:  # not a descent direction: restart from steepest descent
             slots += [pair[:2] for pair in pairs]
             pairs = []
             np.negative(pg, out=d)
@@ -423,19 +439,34 @@ def _lbfgs(fun, x: np.ndarray, n_bounded: int, tol: float, max_iterations: int
             np.maximum(x_new[:n_bounded], 0.0, out=x_new[:n_bounded])
             np.subtract(x_new, x, out=s)
             f_new = fun(x_new, g_new)
-            if f_new <= f + ARMIJO * float(g @ s) or not np.isfinite(f_new):
+            evaluations += 1
+            if f_new <= f + ARMIJO * _dot(g, s) or not np.isfinite(f_new):
                 break
             t *= BACKTRACK
         else:
-            return x, values, "line_search", residual
+            return x, values, "line_search", residual, evaluations
         np.subtract(g_new, g, out=y)
-        sy = float(s @ y)
-        if sy > 0:
-            pairs.append((s, y, 1.0 / sy, sy / float(y @ y)))
+        sy = _dot(s, y)
+        if sy > 0:  # d is free until the next direction
+            pairs.append((s, y, 1.0 / sy, sy / _dot(y, np.multiply(h0, y, out=d))))
             s, y = slots.pop() if slots else pairs.pop(0)[:2]
         x, x_new, g, g_new, f = x_new, x, g_new, g, f_new
         values.append(f)
     raise NumericalError(f"objective not finite at iterate {len(values) - 1}")
+
+
+def _mass_scale(p_hat: np.ndarray, F: np.ndarray, n_sentiments: int) -> np.ndarray:
+    """The diagonal h0 of train's initial inverse Hessian, in x's (eta, omega, xi) layout.
+
+    Both the gradient and the curvature of a coordinate scale with the
+    empirical mass it touches: p_hat(v, t), word v's mass on the forms that
+    carry feature t, for eta(v, s, t), and p_hat(g) for omega(g, s) and xi(g).
+    """
+    mass = np.einsum("vg,gt->vt", p_hat, F)   # numpy's own sums, like _dot
+    mass += KAPPA / len(p_hat)
+    eta = np.broadcast_to(1.0 / mass[:, None, :], (len(p_hat), n_sentiments, F.shape[1]))
+    p_n = p_hat.sum(axis=0)
+    return np.concatenate([eta.ravel(), np.repeat(1.0 / p_n, n_sentiments), 1.0 / p_n])
 
 
 def train(table: CountTable, space: FeatureSpace, prior: SentimentPrior | None,
@@ -444,20 +475,25 @@ def train(table: CountTable, space: FeatureSpace, prior: SentimentPrior | None,
 
     The run starts from init_params and stops once the KKT residual, the
     inf-norm of the projected gradient, is at most the tolerance; only that
-    stop sets `converged`.  The trace holds the objective at every iterate.
-    Identical inputs give bitwise-identical parameters.
+    stop sets `converged`.  The optimizer's initial inverse Hessian is
+    scaled per coordinate by the count table (_mass_scale).  The trace
+    holds the objective at every iterate.  Identical inputs give
+    bitwise-identical parameters.
     """
     reg = _regularizer(prior, table.vocab, config.beta)
     # only the regularizer tells sentiment slices apart, so beta = 0 fits one
-    params = init_params(table, space, 3 if config.beta > 0 else 1)
-    kernel = _Kernel(params, space, table.p_hat(), reg, config.alpha, config.beta)
+    n_sent = 3 if config.beta > 0 else 1
+    params = init_params(table, space, n_sent)
+    p_hat = table.p_hat()
+    kernel = _Kernel(params, space, p_hat, reg, config.alpha, config.beta)
     x0 = np.concatenate([params.eta.ravel(), params.omega.ravel(), params.xi.ravel()])
-    x, values, reason, residual = _lbfgs(kernel.negated, x0, params.eta.size, config.tolerance,
-                                         config.max_iterations)
+    x, values, reason, residual, evaluations = _lbfgs(
+        kernel.negated, x0, _mass_scale(p_hat, kernel.F, n_sent), params.eta.size,
+        config.tolerance, config.max_iterations)
     return TrainResult(params=ModelParams(params.vocab, params.forms, params.m, *kernel.unpack(x)),
                        trace=[-v for v in values], iterations=len(values) - 1,
-                       converged=reason == "tolerance", config=config, stop_reason=reason,
-                       kkt_residual=residual)
+                       evaluations=evaluations, converged=reason == "tolerance", config=config,
+                       stop_reason=reason, kkt_residual=residual)
 
 
 @dataclass

@@ -94,8 +94,9 @@ def restricted_train(gtable: GenderCollapsedTable, max_iterations: int = PROP1_M
         np.subtract(np.exp(log_p), p_cond, out=out.reshape(p_cond.shape))
         return -float((p_cond * log_p).sum())
 
-    x, values, reason, dev = _lbfgs(negated, np.zeros(p_cond.size), 0, saturation_tol,
-                                    max_iterations)
+    # h0 = 1 keeps the scalar initial scaling s.y / y.y
+    x, values, reason, dev, _ = _lbfgs(negated, np.zeros(p_cond.size), np.ones(p_cond.size), 0,
+                                       saturation_tol, max_iterations)
     if reason != "tolerance":
         raise NumericalError(
             f"restricted MLE did not reach saturation tol {saturation_tol:g} "

@@ -211,10 +211,14 @@ def test_criterion_7_planted_truth_recovery(tmp_path):
     detected = sum(_planted_run(tmp_path, seed, 0.15)[0] for seed in range(20))
     false_alarms = sum(_planted_run(tmp_path, seed, 0.0)[0] for seed in range(100, 120))
     elapsed = time.monotonic() - start
+    cells = [json.loads(p.read_text())["extra"]
+             for p in sorted(tmp_path.glob("run_*/train/checkpoint_alpha*.json"))]
+    cap_stops = sum(extra["stop_reason"] == "max_iterations" for extra in cells)
     assert detected >= 18, f"planted effect detected in only {detected}/20 seeds"
     assert false_alarms <= 2, f"null corpus flagged in {false_alarms}/20 seeds"
     assert elapsed <= 600.0
     passed(7, f"planted detected {detected}/20, null flagged {false_alarms}/20, "
+              f"{cap_stops}/{len(cells)} cells stopped at the 1,000-iteration cap, "
               f"{elapsed / 60:.1f} min")
 
 

@@ -316,6 +316,7 @@ class TestTrain:
         extra = json.loads((trained / "checkpoint_alpha0.001_beta0.5.json").read_text())["extra"]
         assert extra["converged"] is True and extra["stop_reason"] == "tolerance"
         assert 0 < extra["kkt_residual"] <= 1e-4
+        assert extra["evaluations"] > extra["iterations"] > 0  # the start counts as one
 
     def test_iteration_cap_is_recorded(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -326,6 +327,7 @@ class TestTrain:
         assert extra["stop_reason"] == "max_iterations" and extra["kkt_residual"] > 1e-4
         err = capsys.readouterr().err
         assert "converged=False (stop max_iterations, KKT residual " in err
+        assert f"3 iterations, {extra['evaluations']} evaluations, objective " in err
 
     def test_byte_identical_reruns(self, tmp_path):
         outs = []
@@ -688,6 +690,27 @@ def planted(tmp_path_factory):
     rng = np.random.default_rng(13)
     write_rows(files["prior"], [(word, *rng.gamma(2.0, 1.0, 3).tolist()) for word in table.vocab])
     return files
+
+
+def test_train_bytes_do_not_depend_on_the_blas_thread_count(planted, tmp_path):
+    """The optimizer's dots are numpy's own sums and the kernel's products keep
+    their bits across OpenBLAS threads, so on 1 and 2 threads a V=240 grid (x of
+    19,584 entries, long enough for BLAS to split a dot) writes the same bytes."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    written = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        subprocess.run([sys.executable, "-m", "genderedlang.cli", "train",
+                        "--corpus", str(planted["corpus"]), "--relation", "amod",
+                        "--sentiment-lexicon", str(planted["sentiment"]),
+                        "--alpha-grid", "0,0.001", "--beta-grid", "0.1", "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        written[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert len(written["1"]) == 5  # two cell checkpoints, their traces and the average
+    assert written["1"] == written["2"]
 
 
 def test_report_bytes_do_not_depend_on_the_blas_thread_count(planted, tmp_path):

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genderedlang import model
+from genderedlang.corpus import Gender
 from genderedlang.errors import DataError, NumericalError
 from genderedlang.lexicons import SENTIMENTS, SentimentPrior
 from genderedlang.model import (TrainConfig, gradient, grid_train_average, init_params,
@@ -516,6 +517,29 @@ class TestTrain:
                        TrainConfig(alpha=1e-4, beta=0.5, max_iterations=100))
         assert_all_normalized(result.params, space)
 
+    @pytest.mark.parametrize("beta, n_sent", [(0.0, 1), (0.5, 3)])
+    def test_mass_scale_is_finite_and_positive(self, lexicon, space, monkeypatch, beta, n_sent):
+        # "good" never occurs with a feminine form: its fem mass is 0, so the
+        # floor KAPPA / V alone sets that coordinate's scale.
+        masc = [form for form, entry in lexicon.entries.items() if entry.gender is Gender.MASC]
+        counts = {("good", form): 3 for form in masc}
+        counts.update({("vile", form): 2 for form in lexicon.entries})
+        table = make_table(counts, lex=lexicon)
+        prior = SentimentPrior(probs={"good": (0.6, 0.1, 0.3)})
+        seen = []
+        lbfgs = model._lbfgs
+        monkeypatch.setattr(model, "_lbfgs", lambda fun, x, h0, *rest:
+                            seen.append((x.size, h0.copy())) or lbfgs(fun, x, h0, *rest))
+        result = train(table, space, prior, TrainConfig(beta=beta, max_iterations=5))
+        (size, h0), = seen
+        n_forms = len(table.forms)
+        assert result.params.eta.shape == (2, n_sent, space.dim)
+        assert h0.shape == (size,) and size == 2 * n_sent * space.dim + n_sent * n_forms + n_forms
+        assert np.isfinite(h0).all() and (h0 > 0).all()
+        eta_scale = h0[:result.params.eta.size].reshape(result.params.eta.shape)
+        good = table.vocab.index("good")
+        assert eta_scale[good, :, space.fem_index] == pytest.approx(2 / model.KAPPA, rel=1e-12)
+        assert (eta_scale[good, :, space.masc_index] < 2 / model.KAPPA).all()
 
     @pytest.mark.parametrize("beta", [0.0, 0.5])
     def test_evaluation_allocates_no_work_array(self, lexicon, space, beta):
@@ -539,6 +563,26 @@ class TestTrain:
         finally:
             tracemalloc.stop()
         assert peak < kernel.A.nbytes
+
+
+def test_mass_scaled_h0_solves_an_ill_conditioned_quadratic():
+    """On a separable quadratic whose curvatures span 1e-4 to 1, h0 = 1/curvature
+    makes the first stored pair's initial matrix the exact inverse Hessian; the
+    scalar scaling (h0 = 1) needs hundreds of steps."""
+    curvature, target = np.logspace(-4, 0, 40), np.linspace(1.0, 2.0, 40)
+
+    def fun(x, out):
+        np.multiply(curvature, x - target, out=out)
+        return 0.5 * float((curvature * (x - target) ** 2).sum())
+
+    def steps(h0):
+        x, values, reason, residual, evaluations = model._lbfgs(fun, np.zeros(40), h0, 0,
+                                                                1e-8, 2000)
+        assert reason == "tolerance" and residual <= 1e-8 and evaluations >= len(values)
+        return len(values) - 1
+
+    assert steps(1.0 / curvature) <= 3
+    assert steps(np.ones(40)) > 100
 
 
 class TestGrid:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genderedlang import model
 from genderedlang.corpus import Gender
 from genderedlang.errors import DataError, NumericalError
 from genderedlang.pmi import (GENDERS, GenderCollapsedTable, collapse_by_gender, pmi_table,
@@ -110,6 +111,28 @@ class TestRestrictedTrain:
         t = GenderCollapsedTable(matrix=counts, vocab=tuple(f"w{i:03d}" for i in range(200)))
         result = restricted_train(t, saturation_tol=1e-8)
         assert saturation(counts, result.eta) <= 1e-8
+
+    def test_unit_h0_is_the_scalar_scaling(self, toy_table, lexicon, monkeypatch):
+        """restricted_train's h0 of ones gives the bits of a two-loop that scales
+        by the newest pair's s.y / y.y."""
+
+        def scalar_two_loop(q, pairs, h0, work):
+            coefs = []
+            for s, y, rho, _ in reversed(pairs):
+                coefs.append(rho * model._dot(s, q))
+                q -= y * coefs[-1]
+            if pairs:
+                s, y = pairs[-1][:2]
+                q *= model._dot(s, y) / model._dot(y, y)
+            for (s, y, rho, _), a in zip(pairs, reversed(coefs)):
+                q += s * (a - rho * model._dot(y, q))
+
+        t = collapse_by_gender(toy_table, lexicon)
+        result = restricted_train(t, saturation_tol=1e-8)
+        monkeypatch.setattr(model, "_two_loop", scalar_two_loop)
+        reference = restricted_train(t, saturation_tol=1e-8)
+        assert result.iterations == reference.iterations > 2
+        assert np.array_equal(result.eta, reference.eta)
 
     def test_iteration_cap_is_a_numerical_failure(self):
         with pytest.raises(NumericalError, match="in 3 iterations .stop: max_iterations"):
